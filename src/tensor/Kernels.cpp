@@ -29,9 +29,9 @@ bool allZeroRow(const double *P, size_t N) {
 }
 
 // One non-zero A row of the A * B^T kernel: four B rows share each loaded
-// A element, ascending-k accumulation per output element (the historical
-// dotKernelTransposedB loop). Shared between the per-plane and the
-// whole-plane kernels so both produce the same bits.
+// A element, ascending-k accumulation per output element. Shared between
+// the whole-plane kernel and the Eq. 5 cascade so both produce the same
+// bits.
 void scalarDotRowTB(const double *ARow, const double *B, size_t M, size_t D,
                     double *CRow, bool Accumulate) {
   size_t J = 0;
@@ -70,22 +70,6 @@ void scalarDotRowTB(const double *ARow, const double *B, size_t M, size_t D,
   }
 }
 
-void scalarDotTransposedB(const double *A, size_t N, const double *B,
-                          size_t M, size_t D, double *C, bool Accumulate) {
-  for (size_t I = 0; I < N; ++I) {
-    const double *ARow = A + I * D;
-    double *CRow = C + I * M;
-    if (allZeroRow(ARow, D)) {
-      // Zero row: the output row is exactly zero, so fill it (callers may
-      // pass uninitialized C) unless accumulating (+0 is an identity).
-      if (!Accumulate)
-        std::fill(CRow, CRow + M, 0.0);
-      continue;
-    }
-    scalarDotRowTB(ARow, B, M, D, CRow, Accumulate);
-  }
-}
-
 double scalarDot(const double *X, const double *Y, size_t N) {
   double S = 0.0;
   for (size_t I = 0; I < N; ++I)
@@ -105,6 +89,7 @@ void scalarAxpy(double A, const double *X, double *Y, size_t N) {
     Y[I] += A * X[I];
 }
 
+// C{r}[j] += V[r] * B[j] for r in 0..3 (the inner step of scalarAxpy4K).
 void scalarAxpy4(const double *V, const double *B, double *C0, double *C1,
                  double *C2, double *C3, size_t M) {
   double V0 = V[0], V1 = V[1], V2 = V[2], V3 = V[3];
@@ -123,6 +108,7 @@ void scalarSubScale(const double *X, double Mean, const double *G,
     Out[I] = (X[I] - Mean) * G[I];
 }
 
+// Out[i] = |X[i]| (the first step of scalarCascadeDense).
 void scalarAbsRow(const double *X, double *Out, size_t N) {
   for (size_t I = 0; I < N; ++I)
     Out[I] = std::fabs(X[I]);
@@ -184,7 +170,7 @@ void scalarCascadeDense(const double *A, size_t S, size_t StrideA,
       AllZero = AbsS[K] == 0.0;
     if (AllZero)
       continue;
-    scalarDotTransposedB(AbsS, 1, B, M, D, T, /*Accumulate=*/false);
+    scalarDotRowTB(AbsS, B, M, D, T, /*Accumulate=*/false);
     if (Q == 1.0)
       scalarAxpy(1.0, T, Acc, M);
     else if (Q == 2.0)
@@ -228,6 +214,9 @@ void scalarDotPlanesTransposedB(const double *A, size_t StrideA, size_t N,
       const double *ARow = PA + I * D;
       double *CRow = PC + I * M;
       if (Flags ? Flags[I] == 0.0 : allZeroRow(ARow, D)) {
+        // Zero row: the output row is exactly zero, so fill it (callers
+        // may pass uninitialized C) unless accumulating (+0 is an
+        // identity).
         if (!Accumulate)
           std::fill(CRow, CRow + M, 0.0);
         continue;
@@ -247,13 +236,12 @@ void scalarRowScale(const double *Lambda, double *Rows, size_t R,
 }
 
 constexpr Kernels ScalarKernels = {
-    Isa::Scalar,      /*Lanes=*/1,    scalarDotTransposedB,
-    scalarDot,        scalarSum,      scalarAxpy,
-    scalarAxpy4,      scalarSubScale, scalarAbsRow,
-    scalarAccAbs,     scalarAccSq,    scalarAccMaxAbs,
-    scalarAccAbsF32,  scalarAccSqF32, scalarAccMaxAbsF32,
-    scalarRowSums,    scalarAxpy4K,   scalarCascadeDense,
-    scalarDotPlanesTransposedB,       scalarRowScale,
+    Isa::Scalar,          /*Lanes=*/1,       scalarDot,
+    scalarSum,            scalarAxpy,        scalarSubScale,
+    scalarAccAbs,         scalarAccSq,       scalarAccMaxAbs,
+    scalarAccAbsF32,      scalarAccSqF32,    scalarAccMaxAbsF32,
+    scalarRowSums,        scalarAxpy4K,      scalarCascadeDense,
+    scalarDotPlanesTransposedB,              scalarRowScale,
 };
 
 } // namespace

@@ -15,9 +15,9 @@
 /// Determinism contract (per ISA): every kernel is a pure function of its
 /// inputs -- no thread-count or scheduling dependence -- so results stay
 /// bit-identical at any thread count *within* an ISA. Different ISAs may
-/// differ by ulps in the reduction kernels (Dot / Sum / DotTransposedB /
-/// DotPlanesTransposedB),
-/// which accumulate in L lanes (scalar L=1, AVX2 L=4, AVX-512 L=8):
+/// differ by ulps in the reduction kernels (Dot / Sum / RowSums /
+/// CascadeDense / DotPlanesTransposedB), which accumulate in L lanes
+/// (scalar L=1, AVX2 L=4, AVX-512 L=8):
 /// element k feeds lane k % L via FMA, lanes reduce pairwise in the fixed
 /// order detail::dotLanes documents, and the tail (k >= N - N % L)
 /// FMA-accumulates serially onto the lane total. detail::dotLanes /
@@ -56,16 +56,8 @@ enum class Isa : int {
 /// ISA simply cannot be selected.
 struct Kernels {
   Isa Tag = Isa::Scalar;
-  /// Reduction lane count L of Dot / Sum / DotTransposedB (1, 4 or 8).
+  /// Reduction lane count L of the lane-ordered kernels (1, 4 or 8).
   size_t Lanes = 1;
-
-  /// C[i*M + j] (+)= sum_k A[i*D + k] * B[j*D + k]: the pointer-level
-  /// A * B^T row kernel. Rows of A that are entirely zero short-circuit:
-  /// the output row is zero-filled when not accumulating (so C may start
-  /// uninitialized) and left untouched when accumulating. The contraction
-  /// is lane-ordered per output element.
-  void (*DotTransposedB)(const double *A, size_t N, const double *B,
-                         size_t M, size_t D, double *C, bool Accumulate);
 
   /// Lane-ordered dot product of two length-N rows.
   double (*Dot)(const double *X, const double *Y, size_t N);
@@ -77,17 +69,9 @@ struct Kernels {
   /// the scalar kernel exactly on every ISA).
   void (*Axpy)(double A, const double *X, double *Y, size_t N);
 
-  /// C{r}[j] += V[r] * B[j] for r in 0..3: the register-blocked GEMM
-  /// inner loop (four output rows share each loaded B element).
-  void (*Axpy4)(const double *V, const double *B, double *C0, double *C1,
-                double *C2, double *C3, size_t M);
-
   /// Out[i] = (X[i] - Mean) * G[i] (the fused layer-norm row kernel).
   void (*SubScale)(const double *X, double Mean, const double *G,
                    double *Out, size_t N);
-
-  /// Out[i] = |X[i]|.
-  void (*AbsRow)(const double *X, double *Out, size_t N);
 
   /// Acc[i] += |X[i]|  /  Acc[i] += X[i]*X[i]  /
   /// Acc[i] = max(Acc[i], |X[i]|): the dual-norm accumulators.
@@ -108,43 +92,47 @@ struct Kernels {
   void (*RowSums)(const double *X, size_t R, size_t C, double *O);
 
   /// C{r}[j] += A{r}[k] * B[k * M + j] for k in [K0, K1) ascending: the
-  /// K-fused GEMM inner loop. Bit-identical to calling Axpy4 once per k
-  /// (elementwise mul-then-add per element, no reassociation); one
-  /// dispatch per register block instead of one per k.
+  /// register-blocked GEMM inner loop (four output rows share each loaded
+  /// B element). Elementwise mul-then-add per element with no
+  /// reassociation, so bit-identical on every ISA; one dispatch per
+  /// register block instead of one per k.
   void (*Axpy4K)(const double *A0, const double *A1, const double *A2,
                  const double *A3, size_t K0, size_t K1, const double *B,
                  double *C0, double *C1, double *C2, double *C3, size_t M);
 
   /// The fused Eq. 5 cascade over one dense block and one outer row: for
   /// s in 0..S-1, with slice A + s * StrideA (length D),
-  ///   AbsS[k] = |slice[k]|;               (AbsRow)
+  ///   AbsS[k] = |slice[k]|;
   ///   skip s when AbsS is all zero;
-  ///   T[j] = lane-ordered AbsS . B[j];    (1-row DotTransposedB)
+  ///   T[j] = lane-ordered AbsS . B[j];    (1-row DotPlanesTransposedB)
   ///   Q == 1: Acc[j] += T[j]  /  Q == 2: Acc[j] += T[j]^2  /
   ///   else:   Acc[j] = max(Acc[j], T[j]).
-  /// Bit-identical to the unfused AbsRow / DotTransposedB / AccSq /
-  /// AccMaxAbs / Axpy(1.0) sequence per symbol; fusing removes ~4
+  /// Bit-identical to that sequence spelled with DotPlanesTransposedB /
+  /// Axpy(1.0) / AccSq / AccMaxAbs per symbol; fusing removes ~4
   /// indirect dispatches per (row, symbol) pair, the dominant call-count
   /// in the fast dot-product bound. AbsS (D) and T (M) are caller scratch.
   void (*CascadeDense)(const double *A, size_t S, size_t StrideA,
                        const double *B, size_t M, size_t D, double Q,
                        double *AbsS, double *T, double *Acc);
 
-  /// Whole-plane fused coefficient kernel (the dotRows symbol loop): for
-  /// plane s in 0..S-1,
-  ///   C + s * StrideC  (+)=  PA(s) * PB(s)^T
-  /// where PA(s) is the N x D matrix at A + s * StrideA and PB(s) the
-  /// M x D matrix at B + s * StrideB. A stride of 0 marks that panel as
-  /// shared by every plane: the kernel copies it once into \p Pack
-  /// (caller scratch of dotPlanesPackDoubles() doubles, 64-byte aligned
-  /// internally) and streams all planes through the cache-resident copy;
-  /// a shared A panel additionally hoists its per-row zero-skip flags so
-  /// they are scanned once instead of once per plane. Packing is a bit
-  /// copy and the per-element contraction is exactly DotTransposedB's
-  /// lane order, so the result is bit-identical to S individual
-  /// DotTransposedB calls (including the zero-row fill/skip contract).
-  /// Pack may be null, in which case panels are streamed unpacked (still
-  /// bit-identical, just slower).
+  /// The pointer-level A * B^T kernel, over S coefficient planes at once
+  /// (the dotRows symbol loop): for plane s in 0..S-1,
+  ///   C + s * StrideC  (+)=  PA(s) * PB(s)^T,
+  /// i.e. C[i*M + j] (+)= sum_k PA(s)[i*D + k] * PB(s)[j*D + k], where
+  /// PA(s) is the N x D matrix at A + s * StrideA and PB(s) the M x D
+  /// matrix at B + s * StrideB. The contraction is lane-ordered per output
+  /// element. Rows of PA(s) that are entirely zero short-circuit: the
+  /// output row is zero-filled when not accumulating (so C may start
+  /// uninitialized) and left untouched when accumulating.
+  /// A stride of 0 marks that panel as shared by every plane: the kernel
+  /// copies it once into \p Pack (caller scratch of dotPlanesPackDoubles()
+  /// doubles, 64-byte aligned internally) and streams all planes through
+  /// the cache-resident copy; a shared A panel additionally hoists its
+  /// per-row zero-skip flags so they are scanned once instead of once per
+  /// plane. Packing is a bit copy, so the result is bit-identical to S
+  /// one-plane calls. Pack may be null, in which case panels are streamed
+  /// unpacked (still bit-identical, just slower); S = 1 with a null Pack
+  /// is the plain single-matrix kernel behind matmulTransposedB.
   void (*DotPlanesTransposedB)(const double *A, size_t StrideA, size_t N,
                                const double *B, size_t StrideB, size_t M,
                                size_t D, size_t S, double *C, size_t StrideC,

@@ -393,16 +393,11 @@ Matrix deept::tensor::matmulTransposedB(const Matrix &A, const Matrix &B) {
   // share each loaded A element with lane-ordered accumulation per output.
   support::parallelFor(
       0, A.rows(), support::grainForWork(RowWork), [&](size_t R0, size_t R1) {
-        kernels().DotTransposedB(A.rowPtr(R0), R1 - R0, B.rowPtr(0), M, K,
-                                 C.rowPtr(R0), /*Accumulate=*/false);
+        kernels().DotPlanesTransposedB(A.rowPtr(R0), 0, R1 - R0, B.rowPtr(0),
+                                       0, M, K, /*S=*/1, C.rowPtr(R0), 0,
+                                       /*Accumulate=*/false, /*Pack=*/nullptr);
       });
   return C;
-}
-
-void deept::tensor::dotKernelTransposedB(const double *A, size_t N,
-                                         const double *B, size_t M, size_t D,
-                                         double *C, bool Accumulate) {
-  kernels().DotTransposedB(A, N, B, M, D, C, Accumulate);
 }
 
 Matrix deept::tensor::matmulTransposedA(const Matrix &A, const Matrix &B) {

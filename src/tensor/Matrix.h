@@ -233,19 +233,6 @@ Matrix matmulReshaped(const Matrix &A, size_t ARows, size_t ACols,
 /// C = A * B^T (B is used transposed without materialising it).
 Matrix matmulTransposedB(const Matrix &A, const Matrix &B);
 
-/// Pointer-level row kernel of matmulTransposedB for callers that hold
-/// coefficient rows rather than Matrix objects (the zonotope noise-symbol
-/// planes): C[i*M + j] (+)= sum_k A[i*D + k] * B[j*D + k], dispatched
-/// through tensor::kernels() with the lane-ordered contraction per output
-/// element that tensor/Kernels.h documents -- bit-identical to
-/// matmulTransposedB within an ISA (different ISAs may differ by ulps in
-/// the reduction). Rows of A that are entirely zero are skipped at row
-/// granularity (when not accumulating the skipped output row is
-/// zero-filled, so C may start uninitialized), and sparse noise-symbol
-/// rows cost O(M) instead of O(M * D).
-void dotKernelTransposedB(const double *A, size_t N, const double *B,
-                          size_t M, size_t D, double *C, bool Accumulate);
-
 /// C = A^T * B.
 Matrix matmulTransposedA(const Matrix &A, const Matrix &B);
 

@@ -143,9 +143,9 @@ Matrix fastAbsBound(const std::vector<EpsBlockView> &Outer, size_t OuterSyms,
           break;
         case EpsBlockKind::Dense:
           // One dispatch for the whole block: the fused kernel runs the
-          // AbsRow / zero-skip / 1-row dot / accumulate sequence per
-          // symbol with the helpers inlined (bit-identical to the unfused
-          // calls -- see tensor::Kernels::CascadeDense).
+          // abs / zero-skip / 1-row dot / accumulate sequence per symbol
+          // with the helpers inlined (bit-identical to the unfused
+          // sequence -- see tensor::Kernels::CascadeDense).
           KT.CascadeDense(BV.Dense->rowPtr(0) + I * D, BV.Syms,
                           BV.Dense->cols(), InnerNorms.data(), M, D, QOuter,
                           AbsS.data(), TRow.data(), AccRow);

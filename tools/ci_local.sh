@@ -187,27 +187,56 @@ stage_simd() {
   configure "$ROOT/build-ci/tier1"
   cmake --build "$ROOT/build-ci/tier1" -j "$JOBS" \
         --target deept_tests table1_sst_fast_vs_baf
-  # The equivalence/dispatch suite under the scalar table and under the
+  # Linkage guard: the SIMD tables share one kernel source compiled with
+  # different -m flags, so each object may export nothing but its table.
+  # Any other global or weak symbol (an ODR-merged inline or template
+  # kernel included) could let the linker bind another table, or scalar
+  # code, to instructions the CPU lacks (see tensor/KernelsSimd.inc).
+  local Table Obj Extra
+  for Table in Avx2 Avx512; do
+    Obj="$ROOT/build-ci/tier1/src/CMakeFiles/deept.dir/tensor/Kernels$Table.cpp.o"
+    if [ ! -f "$Obj" ]; then
+      if grep -q "^DEEPT_COMPILER_HAS_${Table^^}:INTERNAL=1" \
+           "$ROOT/build-ci/tier1/CMakeCache.txt"; then
+        echo "simd: $Obj missing although the compiler supports it" >&2
+        exit 1
+      fi
+      continue
+    fi
+    Extra=$(nm --defined-only "$Obj" | awk '$2 ~ /^[A-Zuvw]$/ {print $3}' |
+            c++filt | grep -vx "deept::tensor::detail::${Table}Kernels" || true)
+    if [ -n "$Extra" ]; then
+      echo "simd: Kernels$Table.cpp.o exports symbols besides its table:" >&2
+      echo "$Extra" >&2
+      exit 1
+    fi
+  done
+  # ISAs to drill: the scalar table, AVX2 when the CPU has it, and the
   # widest table the host supports (DEEPT_ISA=native resolves to it).
-  DEEPT_ISA=scalar "$ROOT/build-ci/tier1/tests/deept_tests" \
-      --gtest_filter="$SIMD_FILTER"
-  DEEPT_ISA=native "$ROOT/build-ci/tier1/tests/deept_tests" \
-      --gtest_filter="$SIMD_FILTER"
+  local Isas=(scalar) Isa
+  grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo && Isas+=(avx2)
+  Isas+=(native)
+  # The equivalence/dispatch suite under each of them.
+  for Isa in "${Isas[@]}"; do
+    DEEPT_ISA=$Isa "$ROOT/build-ci/tier1/tests/deept_tests" \
+        --gtest_filter="$SIMD_FILTER"
+  done
   # The f32 soundness oracle under ASan: the narrowed accumulators and
   # their upward lifts must be memory-clean too.
   configure "$ROOT/build-ci/asan" -DDEEPT_SANITIZE=address
   cmake --build "$ROOT/build-ci/asan" -j "$JOBS" --target deept_tests
   "$ROOT/build-ci/asan/tests/deept_tests" --gtest_filter='F32Soundness.*'
   # The whole-plane fused coefficient oracle under ASan, dispatched from
-  # the scalar and from the widest table the host supports: the packed
-  # shared-panel scratch, the hoisted zero flags and the paired-row loops
-  # must be memory-clean and 0-ULP equal to the per-plane composition.
+  # each drilled table: the packed shared-panel scratch, the hoisted zero
+  # flags and the paired-row loops must be memory-clean and 0-ULP equal to
+  # the per-plane references.
   local FusedFilter='KernelEquivalence.DotPlanesFused*'
+  FusedFilter+=':KernelEquivalence.DotTransposedB*'
   FusedFilter+=':KernelEquivalence.DotRows*:KernelEquivalence.RowScale*'
-  DEEPT_ISA=scalar "$ROOT/build-ci/asan/tests/deept_tests" \
-      --gtest_filter="$FusedFilter"
-  DEEPT_ISA=native "$ROOT/build-ci/asan/tests/deept_tests" \
-      --gtest_filter="$FusedFilter"
+  for Isa in "${Isas[@]}"; do
+    DEEPT_ISA=$Isa "$ROOT/build-ci/asan/tests/deept_tests" \
+        --gtest_filter="$FusedFilter"
+  done
   # Bench artifacts must record the ISA they ran under, so cross-ISA
   # comparisons fail loudly in bench_compare instead of lying quietly.
   local Out="$ROOT/build-ci/simd"
