@@ -12,8 +12,34 @@
 #include <cstring>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 using namespace deept;
 using namespace deept::tensor;
+
+#if defined(__GLIBC__)
+namespace {
+/// The process heap policy (DESIGN.md "Heap policy"). Coefficient planes
+/// are allocated and freed by the hundred megabytes per radius probe;
+/// glibc's adaptive policy keeps trimming that memory back to the kernel
+/// and faulting it in zero-filled again. This pins glibc's own 64-bit
+/// ceiling for the dynamic mmap threshold (32 MiB) as both the mmap and
+/// the trim threshold, and keeps one arena so pool workers reuse each
+/// other's freed blocks instead of each growing a private heap. It runs
+/// during static initialization, before any pool thread exists.
+struct HeapPolicy {
+  HeapPolicy() {
+    constexpr int Threshold = 32 << 20;
+    mallopt(M_ARENA_MAX, 1);
+    mallopt(M_MMAP_THRESHOLD, Threshold);
+    mallopt(M_TRIM_THRESHOLD, Threshold);
+  }
+};
+const HeapPolicy TheHeapPolicy;
+} // namespace
+#endif
 
 Matrix::Matrix(size_t Rows, size_t Cols, double Fill)
     : NumRows(Rows), NumCols(Cols), Data(Rows * Cols, Fill) {}

@@ -176,6 +176,7 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
     }
 
     std::vector<Zonotope> Heads;
+    Heads.reserve(A);
     for (size_t H = 0; H < A; ++H) {
       DEEPT_TRACE_SPAN("deept.attention.head");
       CurHead = static_cast<int>(H);
@@ -226,7 +227,8 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
       Zonotope Concat = Zonotope::concatCols(Heads);
       Zonotope Z =
           Concat.matmulRightConst(Layer.Wo).addRowBroadcast(Layer.Bo);
-      Zonotope V1 = X.add(Z); // residual connection
+      // Residual connection; X is reassigned below, so add into its storage.
+      Zonotope V1 = std::move(X).add(Z);
       X1 = abstractLayerNorm(V1, Layer.Ln1Gamma, Layer.Ln1Beta,
                              C.LayerNormStdDiv, C.LnEps, Dot,
                              Config.ElementwiseEps);
@@ -239,7 +241,7 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
       Zonotope Hid = applyRelu(
           X1.matmulRightConst(Layer.W1).addRowBroadcast(Layer.B1));
       Zonotope F = Hid.matmulRightConst(Layer.W2).addRowBroadcast(Layer.B2);
-      Zonotope V2 = X1.add(F);
+      Zonotope V2 = std::move(X1).add(F);
       X = abstractLayerNorm(V2, Layer.Ln2Gamma, Layer.Ln2Beta,
                             C.LayerNormStdDiv, C.LnEps, Dot,
                             Config.ElementwiseEps);

@@ -431,33 +431,38 @@ Matrix Zonotope::radii() const {
 // Affine transformers
 //===----------------------------------------------------------------------===//
 
-Zonotope Zonotope::add(const Zonotope &O) const {
+Zonotope Zonotope::add(const Zonotope &O) const & {
+  Zonotope A = *this;
+  return std::move(A).add(O);
+}
+
+Zonotope Zonotope::add(const Zonotope &O) && {
+  assert(&O != this && "in-place add cannot alias its operand");
   assert(NumRows == O.NumRows && NumCols == O.NumCols && "shape mismatch");
   assert(PhiP == O.PhiP && "phi norm mismatch");
   size_t N = numVars();
-  Zonotope A = *this;
-  A.Center += O.Center;
+  Center += O.Center;
   // Phi plane: O's missing trailing symbols are zero rows, so only O's
   // actual rows are added (adding a literal zero row is the identity up
   // to the sign of zero).
-  A.padPhiTo(std::max(numPhi(), O.numPhi()));
+  padPhiTo(std::max(numPhi(), O.numPhi()));
   if (O.numPhi() > 0) {
     const Matrix &BP = O.PhiC;
     parallelFor(0, O.numPhi(), grainForWork(N), [&](size_t S0, size_t S1) {
       // Axpy with multiplier 1.0 is an exact add per element, so this is
       // bit-identical to the former open-coded AR[V] += BR[V] loop.
       for (size_t S = S0; S < S1; ++S)
-        tensor::kernels().Axpy(1.0, BP.rowPtr(S), A.PhiC.rowPtr(S), N);
+        tensor::kernels().Axpy(1.0, BP.rowPtr(S), PhiC.rowPtr(S), N);
     });
   }
   size_t E = std::max(numEps(), O.numEps());
-  A.padEpsTo(E);
+  padEpsTo(E);
   if (E == 0)
-    return A;
-  if (A.EpsTail.empty() && O.EpsTail.empty() &&
+    return std::move(*this);
+  if (EpsTail.empty() && O.EpsTail.empty() &&
       EpsDense.rows() == O.EpsDense.rows()) {
-    A.EpsDense += O.EpsDense;
-    return A;
+    EpsDense += O.EpsDense;
+    return std::move(*this);
   }
   // Block-wise sum: walk both eps spaces over maximal symbol runs with a
   // constant (kind, kind) pair, using bulk matrix kernels for runs that
@@ -465,7 +470,7 @@ Zonotope Zonotope::add(const Zonotope &O) const {
   // element reproduces the dense kernel's A += B exactly; symbols that
   // are zero on one side pass through (again identical up to the sign of
   // zero, which downstream dual norms erase).
-  auto RefsA = flattenEpsViews(A.epsBlockViews(), E);
+  auto RefsA = flattenEpsViews(epsBlockViews(), E);
   auto RefsB = flattenEpsViews(O.epsBlockViews(), E);
   auto RunClass = [&](size_t S) -> int {
     EpsBlockKind KA = RefsA[S].Kind, KB = RefsB[S].Kind;
@@ -522,8 +527,8 @@ Zonotope Zonotope::add(const Zonotope &O) const {
     }
     S = S1;
   }
-  A.installEpsBlocks(Bld.finish());
-  return A;
+  installEpsBlocks(Bld.finish());
+  return std::move(*this);
 }
 
 Zonotope Zonotope::sub(const Zonotope &O) const {

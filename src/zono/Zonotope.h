@@ -143,8 +143,11 @@ public:
 
   // --- Exact affine transformers (Theorem 2). ---
 
-  /// this + O (shared noise symbols; eps spaces are aligned).
-  Zonotope add(const Zonotope &O) const;
+  /// this + O (shared noise symbols; eps spaces are aligned). The rvalue
+  /// overload adds into this zonotope's storage instead of deep-copying
+  /// the coefficient planes; O must not alias it.
+  Zonotope add(const Zonotope &O) const &;
+  Zonotope add(const Zonotope &O) &&;
 
   /// this - O.
   Zonotope sub(const Zonotope &O) const;

@@ -5,27 +5,65 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Utilities shared by the test suite: random Multi-norm Zonotopes and the
-/// central soundness check "a concrete execution tracked through an
-/// abstract transformer stays inside the output zonotope".
+/// Utilities shared by the test suite: a scoped pool thread count, the
+/// cached-model lookup, random Multi-norm Zonotopes and the central
+/// soundness check "a concrete execution tracked through an abstract
+/// transformer stays inside the output zonotope".
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DEEPT_TESTS_TESTHELPERS_H
 #define DEEPT_TESTS_TESTHELPERS_H
 
+#include "nn/Serialize.h"
+#include "nn/Transformer.h"
+#include "support/Parallel.h"
 #include "support/Rng.h"
 #include "zono/Zonotope.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 namespace deept {
 namespace testhelp {
 
 using tensor::Matrix;
 using zono::Zonotope;
+
+/// Sets the shared pool's thread count for a scope and restores it on
+/// exit, so a failing test does not leak its setting into the rest of the
+/// suite.
+class ScopedThreads {
+public:
+  explicit ScopedThreads(size_t N)
+      : Prev(support::ThreadPool::global().threadCount()) {
+    support::ThreadPool::global().setThreadCount(N);
+  }
+  ~ScopedThreads() { support::ThreadPool::global().setThreadCount(Prev); }
+
+private:
+  size_t Prev;
+};
+
+/// Loads the cached model \p Name (e.g. "sst_m12") into \p Model. Looks in
+/// nn::defaultModelCacheDir() -- DEEPT_MODEL_CACHE when set, else the
+/// working directory's deept-model-cache -- then in the tracked copy under
+/// the source tree's bench/deept-model-cache. Returns false when neither
+/// holds a loadable model; callers skip.
+inline bool loadCachedModel(const std::string &Name,
+                            nn::TransformerModel &Model) {
+  const std::string Candidates[] = {
+      nn::defaultModelCacheDir() + "/" + Name + ".dptm",
+      std::string(DEEPT_SOURCE_DIR) + "/bench/deept-model-cache/" + Name +
+          ".dptm",
+  };
+  for (const std::string &Path : Candidates)
+    if (nn::loadModel(Path, Model))
+      return true;
+  return false;
+}
 
 /// A random Multi-norm Zonotope with dense coefficients (tests only).
 inline Zonotope randomZonotope(size_t Rows, size_t Cols, double P,

@@ -11,6 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "check/CertCheck.h"
 #include "check/Interval.h"
 #include "data/SyntheticCorpus.h"
@@ -40,25 +42,12 @@
 
 using namespace deept;
 using support::ErrorCode;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Matrix;
 using verify::CertificateBuilder;
 using verify::CertificateData;
 
 namespace {
-
-/// Restores the pool's thread count on scope exit.
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N)
-      : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 struct TinySetup {
   data::SyntheticCorpus Corpus;

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
 #include "support/Error.h"
@@ -56,6 +58,8 @@ using verify::Worker;
 using verify::WorkerReport;
 namespace fault = deept::support::fault;
 
+using testhelp::ScopedThreads;
+
 namespace {
 
 /// Creates a test directory and removes it (with its flat contents) on
@@ -97,20 +101,6 @@ public:
 
 private:
   std::string Path;
-};
-
-/// Restores the pool's thread count on scope exit (parallel_test.cpp
-/// idiom).
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N)
-      : Prev(support::ThreadPool::global().threadCount()) {
-    support::ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { support::ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
 };
 
 /// Arms a spec for the scope and disarms on exit (fault_test.cpp idiom).

@@ -9,8 +9,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "data/SyntheticCorpus.h"
-#include "nn/Serialize.h"
 #include "nn/Transformer.h"
 #include "support/Fp.h"
 #include "support/Metrics.h"
@@ -35,23 +36,12 @@
 #include <vector>
 
 using namespace deept;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Isa;
 using tensor::Kernels;
 using tensor::Matrix;
 
 namespace {
-
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N) : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 class ScopedIsa {
 public:
@@ -707,18 +697,7 @@ TEST(F32Soundness, VerifierEscalatesAndNeverFlipsVerdict) {
 /// sst_m12 must never flip a falsified verdict, across a radius sweep.
 TEST(F32Soundness, CachedSstNeverCertifiesWhatF64Falsifies) {
   nn::TransformerModel Model;
-  const std::string Candidates[] = {
-      nn::defaultModelCacheDir() + "/sst_m12.dptm",
-      "../bench/deept-model-cache/sst_m12.dptm",
-      "../../bench/deept-model-cache/sst_m12.dptm",
-  };
-  bool Loaded = false;
-  for (const std::string &Path : Candidates)
-    if (nn::loadModel(Path, Model)) {
-      Loaded = true;
-      break;
-    }
-  if (!Loaded)
+  if (!testhelp::loadCachedModel("sst_m12", Model))
     GTEST_SKIP() << "cached sst_m12.dptm not found";
 
   data::SyntheticCorpus Corpus(
@@ -760,18 +739,7 @@ TEST(F32Soundness, CachedSstNeverCertifiesWhatF64Falsifies) {
 /// on the same margins.
 TEST(KernelEquivalence, CachedSstMarginsBitIdenticalToPreFusionRelease) {
   nn::TransformerModel Model;
-  const std::string Candidates[] = {
-      nn::defaultModelCacheDir() + "/sst_m12.dptm",
-      "../bench/deept-model-cache/sst_m12.dptm",
-      "../../bench/deept-model-cache/sst_m12.dptm",
-  };
-  bool Loaded = false;
-  for (const std::string &Path : Candidates)
-    if (nn::loadModel(Path, Model)) {
-      Loaded = true;
-      break;
-    }
-  if (!Loaded)
+  if (!testhelp::loadCachedModel("sst_m12", Model))
     GTEST_SKIP() << "cached sst_m12.dptm not found";
   if (!tensor::isaAvailable(Isa::Scalar))
     GTEST_SKIP() << "scalar table unavailable";

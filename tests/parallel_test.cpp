@@ -7,8 +7,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "data/SyntheticCorpus.h"
-#include "nn/Serialize.h"
 #include "nn/Transformer.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
@@ -25,23 +26,10 @@
 #include <vector>
 
 using namespace deept;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Matrix;
 
 namespace {
-
-/// Restores the pool's thread count on scope exit so a failing test does
-/// not leak its setting into the rest of the suite.
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N) : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 /// Pins the SIMD kernel table for a scope (tests comparing against
 /// ascending-k scalar references must run the scalar table; wide-ISA
@@ -233,18 +221,7 @@ TEST(Determinism, CertifiedMarginsBitIdenticalAcrossThreadCounts) {
 /// DEEPT_MODEL_CACHE to point elsewhere).
 TEST(Determinism, CachedSstModelRadiiBitIdentical) {
   nn::TransformerModel Model;
-  const std::string Candidates[] = {
-      nn::defaultModelCacheDir() + "/sst_m12.dptm",
-      "../bench/deept-model-cache/sst_m12.dptm",
-      "../../bench/deept-model-cache/sst_m12.dptm",
-  };
-  bool Loaded = false;
-  for (const std::string &Path : Candidates)
-    if (nn::loadModel(Path, Model)) {
-      Loaded = true;
-      break;
-    }
-  if (!Loaded)
+  if (!testhelp::loadCachedModel("sst_m12", Model))
     GTEST_SKIP() << "cached sst_m12.dptm not found";
 
   data::SyntheticCorpus Corpus(

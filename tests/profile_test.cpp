@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
 #include "support/FlightRecorder.h"
@@ -36,7 +38,7 @@
 using namespace deept;
 using support::FlightRecorder;
 using support::JsonValue;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Matrix;
 using verify::JobMethod;
 using verify::JobQueue;
@@ -51,19 +53,6 @@ using zono::ProvenanceSession;
 using zono::SymbolProvenance;
 
 namespace {
-
-/// Restores the pool's thread count on scope exit (same idiom as
-/// parallel_test.cpp).
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N) : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 /// Deletes a temp file on scope exit.
 class TempFile {

@@ -8,6 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
 #include "support/Parallel.h"
@@ -22,23 +24,12 @@
 #include <vector>
 
 using namespace deept;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Matrix;
 using verify::RadiusSearchOptions;
 using verify::certifiedRadius;
 
 namespace {
-
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N) : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 TEST(RadiusSearch, RecoversMonotoneThreshold) {
   // For a monotone predicate "r <= T" the search must return a radius

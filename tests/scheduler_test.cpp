@@ -7,6 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
 #include "support/Json.h"
@@ -24,7 +26,7 @@
 #include <vector>
 
 using namespace deept;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Matrix;
 using verify::JobMethod;
 using verify::JobQueue;
@@ -35,19 +37,6 @@ using verify::Scheduler;
 using verify::SchedulerOptions;
 
 namespace {
-
-/// Restores the pool's thread count on scope exit (same idiom as
-/// parallel_test.cpp).
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N) : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 /// Deletes a temp file on scope exit.
 class TempFile {

@@ -8,6 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestHelpers.h"
+
 #include "support/Parallel.h"
 #include "support/Rng.h"
 #include "zono/DotProduct.h"
@@ -19,29 +21,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 using namespace deept;
-using support::ThreadPool;
+using testhelp::ScopedThreads;
 using tensor::Matrix;
 using zono::DotOptions;
 using zono::Zonotope;
 
 namespace {
-
-/// Restores the pool's thread count on scope exit.
-class ScopedThreads {
-public:
-  explicit ScopedThreads(size_t N) : Prev(ThreadPool::global().threadCount()) {
-    ThreadPool::global().setThreadCount(N);
-  }
-  ~ScopedThreads() { ThreadPool::global().setThreadCount(Prev); }
-
-private:
-  size_t Prev;
-};
 
 constexpr size_t R = 4, C = 6;
 
@@ -108,6 +99,33 @@ Zonotope densified(const Zonotope &Z) {
   if (::testing::AssertionResult Res = matEq("lower bounds", ALo, BLo); !Res)
     return Res;
   return matEq("upper bounds", AHi, BHi);
+}
+
+::testing::AssertionResult bytesEq(const char *What, const Matrix &A,
+                                   const Matrix &B) {
+  if (A.rows() != B.rows() || A.cols() != B.cols())
+    return ::testing::AssertionFailure() << What << ": shape differs";
+  if (A.size() > 0 &&
+      std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) != 0)
+    return ::testing::AssertionFailure() << What << ": bytes differ";
+  return ::testing::AssertionSuccess();
+}
+
+/// Byte equality of two zonotopes (memcmp: distinguishes +-0.0 and NaN
+/// payloads), including the eps block layout.
+::testing::AssertionResult sameBytes(const Zonotope &A, const Zonotope &B) {
+  if (A.numPhi() != B.numPhi() || A.numEps() != B.numEps() ||
+      A.epsBlockCount() != B.epsBlockCount())
+    return ::testing::AssertionFailure() << "symbol or block counts differ";
+  if (::testing::AssertionResult Res =
+          bytesEq("center", A.center(), B.center());
+      !Res)
+    return Res;
+  if (::testing::AssertionResult Res =
+          bytesEq("phi coeffs", A.phiCoeffs(), B.phiCoeffs());
+      !Res)
+    return Res;
+  return bytesEq("eps coeffs", A.epsCoeffs(), B.epsCoeffs());
 }
 
 /// Runs \p Fn on a block-backed input and on its force-densified twin at
@@ -199,6 +217,15 @@ TEST(ZonotopeBlocks, AddSubConcatMatchDensified) {
     return applyTanh(Z.scaleColumns(Gamma));
   };
   checkTransformer("add", [&](const Zonotope &Z) { return Z.add(Second(Z)); });
+  // The rvalue overload adds into the left operand's storage; it must
+  // reproduce the copying overload byte for byte, block layout included.
+  checkTransformer("add (rvalue)", [&](const Zonotope &Z) {
+    Zonotope Rhs = Second(Z);
+    Zonotope Lhs = Z;
+    Zonotope Out = std::move(Lhs).add(Rhs);
+    EXPECT_TRUE(sameBytes(Out, Z.add(Rhs)));
+    return Out;
+  });
   checkTransformer("sub", [&](const Zonotope &Z) { return Z.sub(Second(Z)); });
   checkTransformer("concatCols", [&](const Zonotope &Z) {
     return Zonotope::concatCols({Z, Second(Z), Z.scaleColumns(Gamma)});
