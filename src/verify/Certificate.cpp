@@ -36,32 +36,26 @@ std::vector<double> flatCopy(const Matrix &M) {
 
 } // namespace
 
-void CertificateBuilder::beginRun(size_t TrueClass, size_t ModelLayers,
-                                  size_t ModelEmbed, size_t ModelHeads) {
-  Data.TrueClass = TrueClass;
-  Data.ModelLayers = ModelLayers;
-  Data.ModelEmbed = ModelEmbed;
-  Data.ModelHeads = ModelHeads;
+void CertificateBuilder::onRunBegin(const RunInfo &Info,
+                                    const zono::Zonotope &Input) {
+  Data.Kind = Info.Kind;
+  Data.TrueClass = Info.TrueClass;
+  Data.ModelLayers = Info.Layers;
+  Data.ModelEmbed = Info.Embed;
+  Data.ModelHeads = Info.Heads;
   Data.Precision = support::fpPrecisionName(support::fpPrecision());
-  Data.InputRows = Data.InputCols = 0;
-  Data.InputLo.clear();
-  Data.InputHi.clear();
   Data.Checkpoints.clear();
   Data.Margin = CertMargin();
-}
-
-void CertificateBuilder::recordInput(const zono::Zonotope &Z) {
   Matrix Lo, Hi;
-  Z.bounds(Lo, Hi);
-  Data.InputRows = Z.rows();
-  Data.InputCols = Z.cols();
+  Input.bounds(Lo, Hi);
+  Data.InputRows = Input.rows();
+  Data.InputCols = Input.cols();
   Data.InputLo = flatCopy(Lo);
   Data.InputHi = flatCopy(Hi);
 }
 
-void CertificateBuilder::recordCheckpoint(const zono::Zonotope &Z,
-                                          const char *Site, int Layer,
-                                          int Head) {
+void CertificateBuilder::onCheckpoint(const zono::Zonotope &Z,
+                                      const char *Site, int Layer, int Head) {
   CertCheckpoint C;
   C.Site = Site;
   C.Layer = Layer;
@@ -91,9 +85,8 @@ void CertificateBuilder::recordCheckpoint(const zono::Zonotope &Z,
   Data.Checkpoints.push_back(std::move(C));
 }
 
-void CertificateBuilder::recordMargin(const zono::Zonotope &Margin,
-                                      size_t TrueClass, double Lo,
-                                      double Hi) {
+void CertificateBuilder::onMargin(const zono::Zonotope &Margin,
+                                  size_t TrueClass, double Lo, double Hi) {
   CertMargin &M = Data.Margin;
   M.Valid = true;
   M.TrueClass = TrueClass;

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The producer half of the proof-certificate layer. A CertificateBuilder
-/// attached to VerifierConfig::Certificate records, per margin
-/// computation:
+/// is a verifier observer (verify/Observer.h); attached to
+/// VerifierConfig::Observers (DeepT) or passed in the feed-forward
+/// verifier's observer list, it records, per margin computation:
 ///
 ///  * the concretized input region (per-variable lo/hi of the input
 ///    zonotope),
@@ -45,16 +46,13 @@
 #ifndef DEEPT_VERIFY_CERTIFICATE_H
 #define DEEPT_VERIFY_CERTIFICATE_H
 
+#include "verify/Observer.h"
+
 #include <cstddef>
 #include <string>
 #include <vector>
 
 namespace deept {
-
-namespace zono {
-class Zonotope;
-} // namespace zono
-
 namespace verify {
 
 /// One propagation checkpoint: bookkeeping plus the Theorem 1 inputs and
@@ -90,9 +88,9 @@ struct CertMargin {
   bool Certified = false;
 };
 
-/// Everything one certificate records. Query/Kind/Method/Norm/P are
-/// caller metadata (the CLI / scheduler fill them before serializing);
-/// the rest is filled by the builder during the margin computation.
+/// Everything one certificate records. Query/Method/Norm/P are caller
+/// metadata (the CLI / scheduler fill them before serializing); the rest
+/// is filled by the builder during the margin computation.
 struct CertificateData {
   std::string Query;
   /// "deept" (Transformer) or "ffn" (feed-forward verifier).
@@ -117,32 +115,27 @@ struct CertificateData {
   std::string toJson() const;
 };
 
-/// The recording hook the verifiers drive. Attach via
-/// VerifierConfig::Certificate (DeepT) or the FeedForwardVerifier
-/// overloads; one builder serves one margin computation at a time
-/// (beginRun resets the measurements, so under f32->f64 escalation the
-/// final run wins).
-class CertificateBuilder {
+/// The recording observer. One builder serves one margin computation at
+/// a time: onRunBegin resets the measurements, so under f32->f64
+/// escalation the final run wins.
+class CertificateBuilder : public Observer {
 public:
   CertificateData Data;
 
-  /// Starts a new recording run: clears input/checkpoints/margin, keeps
-  /// the caller metadata (Query/Kind/Method/Norm/P), stamps the active
-  /// kernel precision and the model dimensions.
-  void beginRun(size_t TrueClass, size_t ModelLayers, size_t ModelEmbed,
-                size_t ModelHeads);
-
-  /// Records the concretization of the input region.
-  void recordInput(const zono::Zonotope &Z);
+  /// Starts a new recording run: keeps the caller metadata
+  /// (Query/Method/Norm/P), stamps the verifier kind, the active kernel
+  /// precision and the model dimensions, and records the concretization
+  /// of the input region.
+  void onRunBegin(const RunInfo &Info, const zono::Zonotope &Input) override;
 
   /// Records one propagation checkpoint.
-  void recordCheckpoint(const zono::Zonotope &Z, const char *Site,
-                        int Layer, int Head);
+  void onCheckpoint(const zono::Zonotope &Z, const char *Site, int Layer,
+                    int Head) override;
 
   /// Records the margin derivation; \p Lo / \p Hi are the bounds() output
   /// the verdict was taken from.
-  void recordMargin(const zono::Zonotope &Margin, size_t TrueClass,
-                    double Lo, double Hi);
+  void onMargin(const zono::Zonotope &Margin, size_t TrueClass, double Lo,
+                double Hi) override;
 };
 
 } // namespace verify

@@ -2,13 +2,9 @@
 
 #include "verify/DeepT.h"
 
-#include "support/Error.h"
 #include "support/Fault.h"
-#include "support/FlightRecorder.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
-#include "verify/Certificate.h"
-#include "verify/Profile.h"
 #include "zono/Elementwise.h"
 #include "zono/Provenance.h"
 #include "zono/Reduction.h"
@@ -16,9 +12,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
-#include <optional>
 
 using namespace deept;
 using namespace deept::verify;
@@ -50,20 +44,7 @@ Zonotope abstractLayerNorm(const Zonotope &V, const Matrix &Gamma,
 
 } // namespace
 
-PropagationStats PropagationStats::fromRegistry() {
-  const support::Metrics &M = support::Metrics::global();
-  PropagationStats S;
-  S.PeakEpsSymbols = static_cast<size_t>(
-      M.gaugeValue("verify.propagate.peak_eps_symbols"));
-  S.SymbolsTightened = static_cast<size_t>(
-      M.counterValue("verify.propagate.symbols_tightened"));
-  S.PeakCoeffBytes = static_cast<size_t>(
-      M.gaugeValue("verify.propagate.peak_coeff_bytes"));
-  return S;
-}
-
-Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
-                                  PropagationStats *Stats) const {
+Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb) const {
   support::TraceSpan PropagateSpan("deept.propagate");
   support::Metrics &MR = support::Metrics::global();
   static support::Counter &Calls = MR.counter("verify.propagate.calls");
@@ -75,50 +56,25 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
   size_t Dk = C.headDim();
   double Scale = 1.0 / std::sqrt(static_cast<double>(Dk));
 
-  PropagationStats Local;
-  size_t LayerPeakEps = 0;
-  // Track doubles as the soundness checkpoint: it sees every major
-  // intermediate zonotope, so a corrupted abstraction is caught at the
-  // first checkpoint after the corruption and surfaces as a structured
-  // UnsoundAbstraction error instead of flowing into a verdict.
+  size_t PeakEps = 0, PeakCoeffBytes = 0, LayerPeakEps = 0;
   static support::Histogram &EpsBlocks = MR.histogram("zono.eps_blocks");
   static support::Histogram &DiagFrac = MR.histogram("zono.diag_frac");
-  static support::Gauge &CoeffBytes = MR.gauge("zono.coeff_bytes");
-  // Checkpoint context for the precision profile / flight recorder; the
-  // layer and head loops below keep these current.
+  // Checkpoint context for the observers; the layer and head loops below
+  // keep these current.
   int CurLayer = -1;
   int CurHead = -1;
-  auto LastCp = std::chrono::steady_clock::now();
+  // Every major intermediate zonotope passes through here: storage-shape
+  // telemetry, then the observers and the soundness check, so a corrupted
+  // abstraction is caught at the first checkpoint after the corruption.
   auto Track = [&](const Zonotope &Z, const char *Site) {
-    Local.PeakEpsSymbols = std::max(Local.PeakEpsSymbols, Z.numEps());
-    Local.PeakCoeffBytes = std::max(Local.PeakCoeffBytes, Z.coeffBytes());
+    PeakEps = std::max(PeakEps, Z.numEps());
+    PeakCoeffBytes = std::max(PeakCoeffBytes, Z.coeffBytes());
     LayerPeakEps = std::max(LayerPeakEps, Z.numEps());
-    // Block-structure telemetry: how fragmented the eps storage is, how
-    // much of it stays structured, and the actual coefficient footprint.
+    // Block-structure telemetry: how fragmented the eps storage is and
+    // how much of it stays structured.
     EpsBlocks.observe(static_cast<double>(Z.epsBlockCount()));
     DiagFrac.observe(Z.epsStructuredFraction());
-    CoeffBytes.recordMax(static_cast<double>(Z.coeffBytes()));
-    if (Config.Recorder)
-      Config.Recorder->record("checkpoint", Site,
-                              static_cast<double>(Z.numEps()),
-                              static_cast<double>(Z.epsBlockCount()),
-                              static_cast<double>(Z.coeffBytes()));
-    if (Config.Profile) {
-      auto Now = std::chrono::steady_clock::now();
-      double SinceMs =
-          std::chrono::duration<double, std::milli>(Now - LastCp).count();
-      LastCp = Now;
-      profileCheckpoint(*Config.Profile, Z, Site, CurLayer, CurHead,
-                        SinceMs);
-    }
-    if (Config.Certificate)
-      Config.Certificate->recordCheckpoint(Z, Site, CurLayer, CurHead);
-    if (Config.ValidateAbstractions) {
-      std::string Why;
-      if (!Z.validate(&Why))
-        throw support::Error(support::ErrorCode::UnsoundAbstraction, Site,
-                             Why);
-    }
+    checkpoint(Config.Observers, Z, Site, CurLayer, CurHead);
   };
 
   SoftmaxOptions SoftOpts;
@@ -137,8 +93,7 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
   DEEPT_FAULT_CORRUPT("verify.propagate", X.center().data(),
                       X.center().size());
   for (size_t L = 0; L < Model.Layers.size(); ++L) {
-    if (Config.CancelCheck)
-      Config.CancelCheck();
+    enterLayer(Config.Observers, L);
     support::TraceSpan LayerSpan("deept.layer", L);
     double EpsCreatedBefore = MR.counterValue("zono.eps_symbols.created");
     LayerPeakEps = 0;
@@ -205,10 +160,7 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
         std::vector<Zonotope *> CoLive = {&X, &Q, &K, &V, &Vh};
         for (Zonotope &Prev : Heads)
           CoLive.push_back(&Prev);
-        RefinementStats RS = refineSoftmaxSum(Probs, CoLive,
-                                              RefinementOptions(),
-                                              &RefineScratch);
-        Local.SymbolsTightened += RS.SymbolsTightened;
+        refineSoftmaxSum(Probs, CoLive, RefinementOptions(), &RefineScratch);
       }
       // Attention output: Probs (N x N) times Vh (N x dk); rows of Probs
       // dotted with columns of Vh, i.e. rows of Vh transposed.
@@ -267,16 +219,10 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb,
   }
   Track(Logits, "verify.logits");
 
-  // Mirror the per-run stats into the registry so they survive every
-  // entry point (certifyMargin and friends discard the out-param).
   MR.gauge("verify.propagate.peak_eps_symbols")
-      .recordMax(static_cast<double>(Local.PeakEpsSymbols));
+      .recordMax(static_cast<double>(PeakEps));
   MR.gauge("verify.propagate.peak_coeff_bytes")
-      .recordMax(static_cast<double>(Local.PeakCoeffBytes));
-  MR.counter("verify.propagate.symbols_tightened")
-      .add(static_cast<double>(Local.SymbolsTightened));
-  if (Stats)
-    *Stats = Local;
+      .recordMax(static_cast<double>(PeakCoeffBytes));
   return Logits;
 }
 
@@ -306,52 +252,13 @@ double DeepTVerifier::certifyMargin(const Zonotope &InputEmb,
 double DeepTVerifier::certifyMarginImpl(const Zonotope &InputEmb,
                                         size_t TrueClass) const {
   assert(TrueClass < 2 && "binary classification");
-  // With a profile attached, a provenance session tags every fresh eps
-  // symbol created during this propagation with its originating
-  // layer/op; the session must outlive the margin construction below so
-  // the final symbol space can be attributed.
-  std::optional<ProvenanceSession> Session;
-  auto T0 = std::chrono::steady_clock::now();
-  if (Config.Profile) {
-    Config.Profile->resetMeasurements();
-    Session.emplace();
-  }
-  if (Config.Certificate) {
-    Config.Certificate->beginRun(TrueClass, Model.Layers.size(),
-                                 Model.Config.EmbedDim,
-                                 Model.Config.NumHeads);
-    Config.Certificate->recordInput(InputEmb);
-  }
-  Zonotope Logits = propagate(InputEmb);
-  // The margin is an affine combination of the logit variables; computing
-  // it inside the domain keeps the shared-noise cancellation (an interval
-  // subtraction would be much looser).
-  // Built as a right-multiply by the +/-1 column so the eps blocks stay
-  // in scatter form (mapLinear would densify and allocate per symbol
-  // row); the ascending-k accumulation performs the same subtraction, so
-  // the margin is bit-identical.
-  Matrix MarginW(2, 1);
-  MarginW.at(TrueClass, 0) = 1.0;
-  MarginW.at(1 - TrueClass, 0) = -1.0;
-  Zonotope Margin = Logits.matmulRightConst(MarginW);
-  Matrix Lo, Hi;
-  Margin.bounds(Lo, Hi);
-  // Belt-and-braces: even with ValidateAbstractions off, a NaN margin
-  // must become a structured error, not a (vacuously false) comparison.
-  if (std::isnan(Lo.at(0, 0)))
-    throw support::Error(support::ErrorCode::UnsoundAbstraction,
-                         "verify.margin", "margin lower bound is NaN");
-  if (Config.Certificate)
-    Config.Certificate->recordMargin(Margin, TrueClass, Lo.at(0, 0),
-                                     Hi.at(0, 0));
-  if (Config.Profile) {
-    profileMargin(*Config.Profile, Margin, Session->provenance(),
-                  Lo.at(0, 0), Hi.at(0, 0));
-    Config.Profile->TotalMs = std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - T0)
-                                  .count();
-  }
-  return Lo.at(0, 0);
+  RunInfo Info;
+  Info.TrueClass = TrueClass;
+  Info.Layers = Model.Layers.size();
+  Info.Embed = Model.Config.EmbedDim;
+  Info.Heads = Model.Config.NumHeads;
+  RunScope Run(Config.Observers, Info, InputEmb);
+  return marginOf(Config.Observers, propagate(InputEmb), TrueClass);
 }
 
 bool DeepTVerifier::certifyLpBall(const std::vector<size_t> &Tokens,

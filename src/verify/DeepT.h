@@ -26,22 +26,13 @@
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
 #include "support/Fp.h"
+#include "verify/Observer.h"
 #include "zono/DotProduct.h"
 #include "zono/Softmax.h"
 #include "zono/Zonotope.h"
 
-#include <functional>
-
 namespace deept {
-
-namespace support {
-class FlightRecorder;
-} // namespace support
-
 namespace verify {
-
-struct PrecisionProfile;
-class CertificateBuilder;
 
 using zono::Zonotope;
 
@@ -65,36 +56,10 @@ struct VerifierConfig {
   /// Use the stable softmax rewrite of Section 5.2 (the naive composition
   /// exists for ablations).
   bool StableSoftmax = true;
-  /// Cooperative-cancellation hook, invoked at the top of every layer
-  /// during propagate(). May throw to abort the propagation; the batch
-  /// scheduler's wall-clock deadlines are enforced through it (see
-  /// verify/Scheduler.h). Empty by default (no overhead beyond one
-  /// branch per layer).
-  std::function<void()> CancelCheck;
-  /// Run Zonotope::validate() on the intermediate zonotopes of
-  /// propagate() (layer inputs, attention scores and outputs, logits). A
-  /// violation -- a non-finite center or coefficient means the abstraction
-  /// no longer over-approximates anything -- throws
-  /// support::Error(UnsoundAbstraction), so it surfaces as a structured
-  /// job error and can never be reported as `certified`.
-  bool ValidateAbstractions = true;
-  /// Optional per-query precision profile (see verify/Profile.h). When
-  /// set, propagate() appends width/shape/timing checkpoints and
-  /// certifyMargin() fills the noise-symbol attribution and margin
-  /// fields. Null (the default) costs one branch per checkpoint.
-  PrecisionProfile *Profile = nullptr;
-  /// Optional flight recorder (see support/FlightRecorder.h). When set,
-  /// propagate() records cheap per-checkpoint events (eps-symbol and
-  /// block counts, coefficient bytes -- no width computation) so a failed
-  /// job's artifact shows where the propagation was when it died.
-  support::FlightRecorder *Recorder = nullptr;
-  /// Optional proof-certificate builder (see verify/Certificate.h). When
-  /// set, certifyMargin() records the input concretization, the Theorem 1
-  /// derivation inputs at every propagation checkpoint, and the final
-  /// margin derivation, for independent replay by tools/deept_check.
-  /// Under F32 -> F64 escalation the recording restarts, so the final
-  /// (verdict-determining) run wins. Null by default.
-  CertificateBuilder *Certificate = nullptr;
+  /// Observers of every run (verify/Observer.h): precision profiles,
+  /// proof certificates, the scheduler's deadline and flight recorder.
+  /// Empty by default; observation never changes the margin.
+  ObserverList Observers;
   /// Kernel precision for the dual-norm reductions (see support/Fp.h).
   /// F32 accumulates coefficient magnitudes in single precision with a
   /// sound upward lift -- the certified margin can only shrink, never
@@ -102,20 +67,6 @@ struct VerifierConfig {
   /// F64 when the widened bound would flip the verdict to "not certified"
   /// (counted by the prec.escalations metric). F64 is the default.
   support::FpPrecision Precision = support::FpPrecision::F64;
-};
-
-/// Propagation statistics. The numbers live in the support::Metrics
-/// registry (propagate() records them on every call, whichever entry
-/// point -- certifyMargin, certifyLpBall, certifySynonymBox -- triggered
-/// it); this struct is a thin view kept for API compatibility. Peaks are
-/// maxima and SymbolsTightened a sum since the last Metrics reset().
-struct PropagationStats {
-  size_t PeakEpsSymbols = 0;
-  size_t SymbolsTightened = 0;
-  size_t PeakCoeffBytes = 0;
-
-  /// Snapshot of the registry's verify.propagate.* instruments.
-  static PropagationStats fromRegistry();
 };
 
 /// The DeepT verifier over a fixed Transformer model.
@@ -129,9 +80,10 @@ public:
   VerifierConfig &config() { return Config; }
 
   /// Propagates an embedding-level zonotope (N x E, positional encodings
-  /// already added) to the logits zonotope (1 x 2).
-  Zonotope propagate(const Zonotope &InputEmb,
-                     PropagationStats *Stats = nullptr) const;
+  /// already added) to the logits zonotope (1 x 2), delivering onLayer and
+  /// onCheckpoint to the observers and validating every checkpoint.
+  /// Records the verify.propagate.* instruments in support::Metrics.
+  Zonotope propagate(const Zonotope &InputEmb) const;
 
   /// Lower bound of logits[TrueClass] - logits[1 - TrueClass] over the
   /// input region; robustness is proven when it is positive.

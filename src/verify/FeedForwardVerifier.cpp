@@ -2,7 +2,6 @@
 
 #include "verify/FeedForwardVerifier.h"
 
-#include "verify/Certificate.h"
 #include "zono/Elementwise.h"
 
 #include <cassert>
@@ -14,17 +13,16 @@ using tensor::Matrix;
 
 Zonotope deept::verify::propagateFeedForward(const nn::FeedForwardNet &Net,
                                              const Zonotope &Input,
-                                             CertificateBuilder *Cert) {
+                                             const ObserverList &Obs) {
   assert(Input.cols() == Net.inputDim() && "input width mismatch");
   Zonotope H = Input;
-  if (Cert)
-    Cert->recordCheckpoint(H, "ffn.input", -1, -1);
+  checkpoint(Obs, H, "ffn.input", -1, -1);
   for (size_t L = 0; L < Net.numLayers(); ++L) {
+    enterLayer(Obs, L);
     H = H.matmulRightConst(Net.Weights[L]).addRowBroadcast(Net.Biases[L]);
     if (L + 1 != Net.numLayers())
       H = applyRelu(H);
-    if (Cert)
-      Cert->recordCheckpoint(H, "ffn.layer_output", static_cast<int>(L), -1);
+    checkpoint(Obs, H, "ffn.layer_output", static_cast<int>(L), -1);
   }
   return H;
 }
@@ -32,32 +30,21 @@ Zonotope deept::verify::propagateFeedForward(const nn::FeedForwardNet &Net,
 double deept::verify::feedForwardMargin(const nn::FeedForwardNet &Net,
                                         const Zonotope &Input,
                                         size_t TrueClass,
-                                        CertificateBuilder *Cert) {
-  if (Cert) {
-    Cert->Data.Kind = "ffn";
-    Cert->beginRun(TrueClass, Net.numLayers(), Net.inputDim(), 0);
-    Cert->recordInput(Input);
-  }
-  Zonotope Logits = propagateFeedForward(Net, Input, Cert);
-  // Same +/-1 column trick as DeepTVerifier::certifyMarginImpl: keeps the
-  // eps blocks in scatter form and is bit-identical to the mapLinear
-  // subtraction.
-  Matrix MarginW(2, 1);
-  MarginW.at(TrueClass, 0) = 1.0;
-  MarginW.at(1 - TrueClass, 0) = -1.0;
-  Zonotope Margin = Logits.matmulRightConst(MarginW);
-  Matrix Lo, Hi;
-  Margin.bounds(Lo, Hi);
-  if (Cert)
-    Cert->recordMargin(Margin, TrueClass, Lo.at(0, 0), Hi.at(0, 0));
-  return Lo.at(0, 0);
+                                        const ObserverList &Obs) {
+  RunInfo Info;
+  Info.Kind = "ffn";
+  Info.TrueClass = TrueClass;
+  Info.Layers = Net.numLayers();
+  Info.Embed = Net.inputDim();
+  RunScope Run(Obs, Info, Input);
+  return marginOf(Obs, propagateFeedForward(Net, Input, Obs), TrueClass);
 }
 
 bool deept::verify::certifyFeedForwardLpBall(const nn::FeedForwardNet &Net,
                                              const Matrix &X, double P,
                                              double Radius,
                                              size_t TrueClass,
-                                             CertificateBuilder *Cert) {
+                                             const ObserverList &Obs) {
   Zonotope In = Zonotope::lpBall(X, P, Radius);
-  return feedForwardMargin(Net, In, TrueClass, Cert) > 0.0;
+  return feedForwardMargin(Net, In, TrueClass, Obs) > 0.0;
 }

@@ -15,32 +15,31 @@
 #define DEEPT_VERIFY_FEEDFORWARDVERIFIER_H
 
 #include "nn/FeedForwardNet.h"
+#include "verify/Observer.h"
 #include "zono/Zonotope.h"
 
 namespace deept {
 namespace verify {
 
-class CertificateBuilder;
-
-/// Propagates an input zonotope (1 x In) to the logits zonotope. With a
-/// certificate builder attached, records an "ffn.input" checkpoint plus
-/// one "ffn.layer_output" checkpoint per layer (see verify/Certificate.h).
+/// Propagates an input zonotope (1 x In) to the logits zonotope through
+/// the soundness checkpoints "ffn.input" and one "ffn.layer_output" per
+/// layer, delivering onLayer / onCheckpoint to \p Obs.
 zono::Zonotope propagateFeedForward(const nn::FeedForwardNet &Net,
                                     const zono::Zonotope &Input,
-                                    CertificateBuilder *Cert = nullptr);
+                                    const ObserverList &Obs = {});
 
-/// Lower bound of logits[TrueClass] - logits[1 - TrueClass]. With a
-/// certificate builder attached, records the full run (input,
-/// checkpoints, margin derivation) for replay by tools/deept_check.
+/// Lower bound of logits[TrueClass] - logits[1 - TrueClass], as one
+/// observed run (a CertificateBuilder in \p Obs records it for replay by
+/// tools/deept_check).
 double feedForwardMargin(const nn::FeedForwardNet &Net,
                          const zono::Zonotope &Input, size_t TrueClass,
-                         CertificateBuilder *Cert = nullptr);
+                         const ObserverList &Obs = {});
 
 /// Certifies an lp ball of radius \p Radius around \p X (1 x In).
 bool certifyFeedForwardLpBall(const nn::FeedForwardNet &Net,
                               const tensor::Matrix &X, double P,
                               double Radius, size_t TrueClass,
-                              CertificateBuilder *Cert = nullptr);
+                              const ObserverList &Obs = {});
 
 } // namespace verify
 } // namespace deept

@@ -4,10 +4,10 @@
 
 #include "support/Json.h"
 #include "support/Metrics.h"
-#include "zono/Provenance.h"
 #include "zono/Zonotope.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <map>
 
@@ -66,10 +66,17 @@ std::string PrecisionProfile::toJsonLine() const {
   return Out;
 }
 
-void deept::verify::profileCheckpoint(PrecisionProfile &P,
-                                      const zono::Zonotope &Z,
-                                      const char *Site, int Layer, int Head,
-                                      double SinceMs) {
+void PrecisionProfile::onRunBegin(const RunInfo &, const zono::Zonotope &) {
+  resetMeasurements();
+  RunStart = LastCheckpoint = std::chrono::steady_clock::now();
+  Session.emplace();
+}
+
+void PrecisionProfile::onRunEnd() { Session.reset(); }
+
+void PrecisionProfile::onCheckpoint(const zono::Zonotope &Z, const char *Site,
+                                    int Layer, int Head) {
+  auto Now = std::chrono::steady_clock::now();
   CheckpointProfile C;
   C.Site = Site;
   C.Layer = Layer;
@@ -84,25 +91,27 @@ void deept::verify::profileCheckpoint(PrecisionProfile &P,
   }
   C.MeanWidth = R.size() ? Sum / static_cast<double>(R.size()) : 0.0;
   C.MaxWidth = Max;
-  if (!P.Checkpoints.empty() && P.Checkpoints.back().MeanWidth > 0.0)
-    C.Growth = C.MeanWidth / P.Checkpoints.back().MeanWidth;
+  if (!Checkpoints.empty() && Checkpoints.back().MeanWidth > 0.0)
+    C.Growth = C.MeanWidth / Checkpoints.back().MeanWidth;
   C.EpsSyms = Z.numEps();
   C.EpsBlocks = Z.epsBlockCount();
   C.StructuredFrac = Z.epsStructuredFraction();
   C.CoeffBytes = Z.coeffBytes();
-  C.SinceMs = SinceMs;
-  P.Checkpoints.push_back(std::move(C));
+  C.SinceMs =
+      std::chrono::duration<double, std::milli>(Now - LastCheckpoint).count();
+  LastCheckpoint = Now;
+  Checkpoints.push_back(std::move(C));
 }
 
-void deept::verify::profileMargin(PrecisionProfile &P,
-                                  const zono::Zonotope &Margin,
-                                  const zono::SymbolProvenance &Prov,
-                                  double Lo, double Hi) {
-  P.MarginLo = Lo;
-  P.MarginHi = Hi;
-  P.MarginWidth = Hi - Lo;
-  P.Falsified = !(Lo > 0.0);
-  P.Attribution.clear();
+void PrecisionProfile::onMargin(const zono::Zonotope &Margin, size_t,
+                                double Lo, double Hi) {
+  assert(Session && "onMargin outside a run");
+  const zono::SymbolProvenance &Prov = Session->provenance();
+  MarginLo = Lo;
+  MarginHi = Hi;
+  MarginWidth = Hi - Lo;
+  Falsified = !(Lo > 0.0);
+  Attribution.clear();
 
   // Phi (input embedding) contribution: 2*||alpha||_q over the margin's
   // single variable, with q the dual exponent of the phi norm. Mirrors
@@ -126,7 +135,7 @@ void deept::verify::profileMargin(PrecisionProfile &P,
     G.Group = "input.phi";
     G.Symbols = Phi.rows();
     G.Width = 2.0 * Acc;
-    P.Attribution.push_back(std::move(G));
+    Attribution.push_back(std::move(G));
   }
 
   // Eps contributions: the l1 norm splits additively over the provenance
@@ -156,16 +165,19 @@ void deept::verify::profileMargin(PrecisionProfile &P,
     }
   }
   for (auto &[Name, G] : Groups)
-    P.Attribution.push_back(std::move(G));
+    Attribution.push_back(std::move(G));
 
   support::Metrics &MR = support::Metrics::global();
   MR.counter("profile.queries").add(1);
-  if (P.Falsified)
+  if (Falsified)
     MR.counter("profile.falsified").add(1);
-  MR.histogram("profile.margin_width").observe(P.MarginWidth);
+  MR.histogram("profile.margin_width").observe(MarginWidth);
   static support::Histogram &Growth =
       MR.histogram("profile.checkpoint_growth");
-  for (const CheckpointProfile &C : P.Checkpoints)
+  for (const CheckpointProfile &C : Checkpoints)
     if (C.Growth > 0.0)
       Growth.observe(C.Growth);
+  TotalMs = std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - RunStart)
+                .count();
 }

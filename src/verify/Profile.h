@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-query half of the precision-observability subsystem: when a
-/// PrecisionProfile is attached to the VerifierConfig, propagate() records
-/// interval-width statistics, eps-storage shape and stage wall time at
-/// every soundness checkpoint, and certifyMargin() decomposes the final
-/// margin width into per-layer/op noise-symbol contributions using the
-/// zono::SymbolProvenance tags.
+/// The per-query half of the precision-observability subsystem: a
+/// PrecisionProfile is a verifier observer (verify/Observer.h). Attached
+/// to VerifierConfig::Observers, it records interval-width statistics,
+/// eps-storage shape and stage wall time at every soundness checkpoint,
+/// and decomposes the final margin width into per-layer/op noise-symbol
+/// contributions using the zono::SymbolProvenance tags of the provenance
+/// session it installs for the duration of each run.
 ///
 /// The decomposition is exact by Theorem 1: the margin is a 1x1 zonotope
 /// whose width is 2*(||alpha||_q + ||beta||_1), and the l1 norm over the
@@ -20,26 +21,25 @@
 /// the "input.phi" group, and the group widths sum to the observed margin
 /// width up to floating-point reassociation.
 ///
-/// Everything here is opt-in: a null Profile pointer costs one branch per
-/// checkpoint, which keeps the default verification path inside the perf
-/// gate.
+/// Everything here is opt-in: without a profile attached no widths are
+/// computed and no symbols are tagged, which keeps the default
+/// verification path inside the perf gate.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DEEPT_VERIFY_PROFILE_H
 #define DEEPT_VERIFY_PROFILE_H
 
+#include "verify/Observer.h"
+#include "zono/Provenance.h"
+
+#include <chrono>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace deept {
-
-namespace zono {
-class Zonotope;
-class SymbolProvenance;
-} // namespace zono
-
 namespace verify {
 
 /// Width/shape statistics of one intermediate zonotope at a soundness
@@ -70,8 +70,10 @@ struct GroupContribution {
 };
 
 /// The full per-query profile, emitted as one JSONL line via
-/// `deept_cli ... --profile-out`.
-struct PrecisionProfile {
+/// `deept_cli ... --profile-out`. Each run (onRunBegin) resets the
+/// measurements, so a profile reused across the probes of a radius
+/// search holds the last probe's.
+struct PrecisionProfile : Observer {
   /// Query metadata, set by the caller (CLI / scheduler) and passed
   /// through to the JSON line untouched.
   std::string Query;
@@ -88,26 +90,33 @@ struct PrecisionProfile {
   double TotalMs = 0.0;
 
   /// Clears the measured fields (checkpoints, attribution, margin,
-  /// timing) while keeping the caller-owned query metadata, so one
-  /// profile object can be reused across the probes of a radius search.
+  /// timing) while keeping the caller-owned query metadata.
   void resetMeasurements();
 
   /// The profile as one line of JSON (no trailing newline).
   std::string toJsonLine() const;
+
+  /// Resets the measurements, starts the clock and installs the
+  /// provenance session on the calling thread.
+  void onRunBegin(const RunInfo &, const zono::Zonotope &) override;
+  /// Appends a checkpoint record (mean/max width from Zonotope::radii,
+  /// eps-storage shape, time since the previous checkpoint).
+  void onCheckpoint(const zono::Zonotope &Z, const char *Site, int Layer,
+                    int Head) override;
+  /// Fills the attribution and margin fields from the final 1x1 margin
+  /// zonotope: per-group eps contributions plus the "input.phi" dual-norm
+  /// term. Also mirrors summary instruments into the global Metrics
+  /// registry (profile.queries, profile.falsified, profile.margin_width,
+  /// profile.checkpoint_growth).
+  void onMargin(const zono::Zonotope &Margin, size_t TrueClass, double Lo,
+                double Hi) override;
+  /// Removes the provenance session.
+  void onRunEnd() override;
+
+private:
+  std::chrono::steady_clock::time_point RunStart, LastCheckpoint;
+  std::optional<zono::ProvenanceSession> Session;
 };
-
-/// Appends a checkpoint record for \p Z to \p P (mean/max width from
-/// Zonotope::radii, eps-storage shape, \p SinceMs stage time).
-void profileCheckpoint(PrecisionProfile &P, const zono::Zonotope &Z,
-                       const char *Site, int Layer, int Head, double SinceMs);
-
-/// Fills \p P's attribution and margin fields from the final 1x1 margin
-/// zonotope: per-group eps contributions via \p Prov plus the "input.phi"
-/// dual-norm term. Also mirrors summary instruments into the global
-/// Metrics registry (profile.queries, profile.falsified,
-/// profile.margin_width, profile.checkpoint_growth).
-void profileMargin(PrecisionProfile &P, const zono::Zonotope &Margin,
-                   const zono::SymbolProvenance &Prov, double Lo, double Hi);
 
 } // namespace verify
 } // namespace deept

@@ -38,22 +38,32 @@ namespace {
 
 /// Wall-clock deadline of one job attempt. Ms < 0 never expires, Ms == 0
 /// expires immediately (the deterministic trigger the tests use), Ms > 0
-/// is a real deadline starting at construction.
-class Deadline {
+/// is a real deadline starting at construction. As a verifier observer it
+/// checks at the top of every layer and writes a cheap `checkpoint` event
+/// (eps symbols, eps blocks, coefficient bytes -- no width computation)
+/// to the job's flight recorder, if it has one, so a failed job's artifact
+/// shows where the propagation was when it died.
+class Deadline : public Observer {
 public:
-  explicit Deadline(int64_t Ms) : Ms(Ms) {}
-
-  bool expired() const {
-    return Ms >= 0 && T.seconds() * 1e3 >= static_cast<double>(Ms);
-  }
+  Deadline(int64_t Ms, support::FlightRecorder *Rec) : Ms(Ms), Rec(Rec) {}
 
   void check() const {
-    if (expired())
+    if (Ms >= 0 && T.seconds() * 1e3 >= static_cast<double>(Ms))
       throw DeadlineExceeded(Ms);
+  }
+
+  void onLayer(size_t) override { check(); }
+
+  void onCheckpoint(const Zonotope &Z, const char *Site, int, int) override {
+    if (Rec)
+      Rec->record("checkpoint", Site, static_cast<double>(Z.numEps()),
+                  static_cast<double>(Z.epsBlockCount()),
+                  static_cast<double>(Z.coeffBytes()));
   }
 
 private:
   int64_t Ms;
+  support::FlightRecorder *Rec;
   support::Timer T;
 };
 
@@ -499,6 +509,11 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
   if (Spec.TrueClass >= 2)
     throw Error(ErrorCode::JobInvalid, "sched.job",
                 "true class must be 0 or 1");
+  if (Spec.Tokens.size() > Model.Config.MaxLen)
+    throw Error(ErrorCode::JobInvalid, "sched.job",
+                std::to_string(Spec.Tokens.size()) +
+                    "-token sentence exceeds the model's maximum length (" +
+                    std::to_string(Model.Config.MaxLen) + ")");
   for (size_t T : Spec.Tokens)
     if (T >= Model.Config.VocabSize)
       throw Error(ErrorCode::JobInvalid, "sched.job",
@@ -506,7 +521,7 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
                       " outside the vocabulary (" +
                       std::to_string(Model.Config.VocabSize) + ")");
 
-  Deadline D(DeadlineMs);
+  Deadline D(DeadlineMs, Rec);
   // One builder per attempt; after every certified probe the recorded
   // run is snapshotted into *Cert, so a search job ends with the
   // certificate of its LAST certified probe (the final probe of a
@@ -545,10 +560,11 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
       VC.Method = zono::DotMethod::Precise;
     if (Method == JobMethod::Combined)
       VC.PreciseLastLayerOnly = true;
-    VC.CancelCheck = [&D] { D.check(); };
-    VC.Recorder = Rec;
-    VC.Profile = Prof;
-    VC.Certificate = CertBuilder ? &*CertBuilder : nullptr;
+    VC.Observers = {&D};
+    if (Prof)
+      VC.Observers.push_back(Prof);
+    if (CertBuilder)
+      VC.Observers.push_back(&*CertBuilder);
     DeepTVerifier V(Model, VC);
     Matrix X = Model.embed(Spec.Tokens);
     Zonotope In = Zonotope::lpBallOnRow(X, Spec.Word, Spec.P, Radius);

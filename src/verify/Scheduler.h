@@ -47,12 +47,14 @@
 
 namespace deept {
 namespace support {
+class FlightRecorder;
 struct JsonValue;
 } // namespace support
 
 namespace verify {
 
 struct CertificateData;
+struct PrecisionProfile;
 
 /// The verifier family a job runs under. Precise and Combined degrade to
 /// Fast; Fast and the CROWN baselines have nothing below them.
@@ -124,8 +126,8 @@ struct JobResult {
   int Retries = 0;
 };
 
-/// Thrown by the cooperative deadline checks (the VerifierConfig
-/// CancelCheck hook and the per-probe checks of the scheduler). A
+/// Thrown by the cooperative deadline checks (the scheduler's deadline
+/// observer at the top of every layer, and once per probe). A
 /// support::Error with code DeadlineExceeded, so untyped catch sites and
 /// the JSONL store agree on the classification.
 class DeadlineExceeded : public support::Error {

@@ -304,8 +304,9 @@ public:
   /// anything), coefficient matrices must have numVars() columns (or be
   /// empty), and the phi norm must be a valid exponent. Returns false and
   /// fills \p Why (optional) on the first violation. O(number of stored
-  /// doubles) with early exit; the verifier runs it after every abstract
-  /// transformer when VerifierConfig::ValidateAbstractions is set. Never
+  /// doubles) with early exit; both verifiers run it at every checkpoint
+  /// site, after the observers (verify::checkpoint in verify/Observer.h),
+  /// and turn a violation into an UnsoundAbstraction error. Never
   /// densifies.
   bool validate(std::string *Why = nullptr) const;
 

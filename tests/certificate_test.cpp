@@ -82,7 +82,7 @@ CertificateData recordedRun(const TinySetup &S, double Eps = 1e-3,
   verify::VerifierConfig VC;
   VC.NoiseReductionBudget = 128;
   VC.Precision = Precision;
-  VC.Certificate = &Cert;
+  VC.Observers = {&Cert};
   verify::DeepTVerifier V(S.Model, VC);
   Matrix X = S.Model.embed(S.Sent.Tokens);
   zono::Zonotope In = zono::Zonotope::lpBallOnRow(X, 0, 2.0, Eps);
@@ -192,7 +192,7 @@ TEST(Certificate, FeedForwardRunReplays) {
   Cert.Data.Norm = "linf";
   Cert.Data.P = Matrix::InfNorm;
   bool Ok = verify::certifyFeedForwardLpBall(Net, X, Matrix::InfNorm, 1e-4,
-                                             Label, &Cert);
+                                             Label, {&Cert});
   ASSERT_TRUE(Ok);
   check::CertificateSummary Sum =
       check::checkCertificate(Cert.Data.toJson());

@@ -13,10 +13,13 @@
 #include "support/Error.h"
 #include "support/Fault.h"
 #include "support/Io.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "verify/Scheduler.h"
 
 #include <gtest/gtest.h>
+
+#include <sys/stat.h>
 
 #include <chrono>
 #include <cmath>
@@ -280,8 +283,17 @@ TEST(Fault, UnsoundPropagationIsNeverCertified) {
   // verdict built on NaN arithmetic.
   ScopedFaults F("verify.propagate:0:nan");
   JobQueue Q;
-  Q.push(S.job(JobMethod::Fast));
-  std::vector<JobResult> R = Scheduler(S.Model).run(Q);
+  JobSpec J = S.job(JobMethod::Fast);
+  J.Id = "unsound";
+  Q.push(J);
+  // The failed job's flight-recorder dump shows where the propagation
+  // died: the scheduler's deadline observer records every checkpoint
+  // before the soundness check runs on it.
+  SchedulerOptions Opts;
+  Opts.RecorderDir = ::testing::TempDir() + "/fault_unsound_recorder";
+  ::mkdir(Opts.RecorderDir.c_str(), 0755);
+  TempFile Dump(Opts.RecorderDir + "/recorder-unsound.json");
+  std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
   ASSERT_EQ(R.size(), 1u);
   EXPECT_EQ(R[0].Status, JobStatus::Error);
   EXPECT_EQ(R[0].Code, ErrorCode::UnsoundAbstraction);
@@ -290,6 +302,16 @@ TEST(Fault, UnsoundPropagationIsNeverCertified) {
   EXPECT_NE(Line.find("\"error_code\":\"unsound_abstraction\""),
             std::string::npos);
   EXPECT_NE(Line.find("\"certified\":false"), std::string::npos);
+  support::JsonValue Doc;
+  std::string Err;
+  ASSERT_TRUE(support::parseJson(readFileBytes(Dump.path()), Doc, &Err))
+      << Err;
+  bool SawLayerInput = false;
+  for (const support::JsonValue &E : Doc.find("events")->Items)
+    if (E.find("kind")->StringVal == "checkpoint" &&
+        E.find("detail")->StringVal == "verify.layer_input")
+      SawLayerInput = true;
+  EXPECT_TRUE(SawLayerInput);
 }
 
 TEST(Fault, AllocFaultDegradesPreciseToFast) {

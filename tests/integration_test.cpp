@@ -9,6 +9,7 @@
 #include "crown/CrownVerifier.h"
 #include "nn/Serialize.h"
 #include "nn/Train.h"
+#include "support/Metrics.h"
 #include "verify/DeepT.h"
 #include "verify/RadiusSearch.h"
 
@@ -202,11 +203,12 @@ TEST(Integration, NoiseReductionBudgetZeroDisablesReduction) {
   verify::DeepTVerifier V(F.Model, NoRed);
   Zonotope In =
       Zonotope::lpBallOnRow(F.Model.embed(S.Tokens), 0, 2.0, 0.01);
-  verify::PropagationStats Stats;
-  V.propagate(In, &Stats);
+  support::Metrics &M = support::Metrics::global();
+  M.reset();
+  V.propagate(In);
   // Without reduction the peak symbol count exceeds any per-layer budget
   // we would normally use on this network.
-  EXPECT_GT(Stats.PeakEpsSymbols, 500u);
+  EXPECT_GT(M.gaugeValue("verify.propagate.peak_eps_symbols"), 500.0);
 }
 
 TEST(Integration, SerializeRejectsCorruptFiles) {

@@ -13,13 +13,16 @@
 
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
+#include "support/Crc.h"
 #include "support/Fp.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
 #include "tensor/Kernels.h"
 #include "tensor/Matrix.h"
+#include "verify/Certificate.h"
 #include "verify/DeepT.h"
+#include "verify/Profile.h"
 #include "zono/DotProduct.h"
 #include "zono/Elementwise.h"
 #include "zono/Zonotope.h"
@@ -798,6 +801,36 @@ TEST(KernelEquivalence, CachedSstMarginsBitIdenticalToPreFusionRelease) {
           << "margin differs at " << Threads << " threads, p=" << Pn.P;
     }
   }
+
+  // The observers' view of the first pin, pinned across commits: the
+  // certificate payload and the precision profile (timings zeroed) must
+  // stay byte-identical. CRCs captured at the commit before the verifier
+  // hooks became one observer list.
+  const Pin &First = Pins[0];
+  const data::Sentence &S = Sentences[First.Sentence];
+  verify::CertificateBuilder Cert;
+  Cert.Data.Query = "pin";
+  Cert.Data.Norm = "l1";
+  Cert.Data.P = 1.0;
+  verify::PrecisionProfile Prof;
+  Prof.Query = "pin";
+  Prof.Method = "fast";
+  Prof.Norm = "l1";
+  Prof.Eps = 0.02;
+  verify::VerifierConfig VC;
+  VC.NoiseReductionBudget = 600;
+  VC.Observers = {&Cert, &Prof};
+  zono::Zonotope In =
+      zono::Zonotope::lpBallOnRow(Model.embed(S.Tokens), 0, First.P, 0.02);
+  double Margin = verify::DeepTVerifier(Model, VC).certifyMargin(In, S.Label);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(Margin), First.Margin);
+  std::string Payload = Cert.Data.payloadJson();
+  EXPECT_EQ(support::crc32(Payload.data(), Payload.size()), 0xa1c45b8bu);
+  Prof.TotalMs = 0.0;
+  for (verify::CheckpointProfile &C : Prof.Checkpoints)
+    C.SinceMs = 0.0;
+  std::string Line = Prof.toJsonLine();
+  EXPECT_EQ(support::crc32(Line.data(), Line.size()), 0x754f3835u);
 }
 
 } // namespace

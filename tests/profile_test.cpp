@@ -239,7 +239,7 @@ protected:
   double certifyProfiled(double P, double Eps, PrecisionProfile &Prof) {
     verify::VerifierConfig VC;
     VC.NoiseReductionBudget = 128;
-    VC.Profile = &Prof;
+    VC.Observers = {&Prof};
     verify::DeepTVerifier V(S.Model, VC);
     Matrix X = S.Model.embed(S.Sent.Tokens);
     zono::Zonotope In = zono::Zonotope::lpBallOnRow(X, 0, P, Eps);
@@ -411,27 +411,6 @@ TEST(FlightRecorderTest, DumpJsonWritesTheArtifact) {
   ASSERT_TRUE(support::parseJson(slurp(Out.path()), Doc, &Err)) << Err;
   EXPECT_EQ(Doc.find("job")->StringVal, "k1");
   EXPECT_EQ(Doc.find("events")->Items.size(), 1u);
-}
-
-TEST(FlightRecorderTest, VerifierRecordsCheckpointEvents) {
-  TinySetup S;
-  FlightRecorder Rec(256);
-  verify::VerifierConfig VC;
-  VC.NoiseReductionBudget = 128;
-  VC.Recorder = &Rec;
-  verify::DeepTVerifier V(S.Model, VC);
-  Matrix X = S.Model.embed(S.Sent.Tokens);
-  zono::Zonotope In = zono::Zonotope::lpBallOnRow(X, 0, 2.0, 0.05);
-  V.certifyMargin(In, S.Sent.Label);
-  EXPECT_GT(Rec.size(), 0u);
-  JsonValue Doc;
-  ASSERT_TRUE(support::parseJson(Rec.toJson("k"), Doc));
-  bool SawLogits = false;
-  for (const JsonValue &E : Doc.find("events")->Items)
-    if (E.find("kind")->StringVal == "checkpoint" &&
-        E.find("detail")->StringVal == "verify.logits")
-      SawLogits = true;
-  EXPECT_TRUE(SawLogits);
 }
 
 //===----------------------------------------------------------------------===//

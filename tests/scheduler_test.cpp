@@ -504,4 +504,21 @@ TEST(Scheduler, FsyncedStoreIsWellFormed) {
   EXPECT_EQ(Scheduler::completedKeys(Store.path()).size(), 1u);
 }
 
+TEST(Scheduler, OverLongJobIsInvalidNotFatal) {
+  // A token list longer than the model's MaxLen is a typed job error next
+  // to a clean job, not an abort of the whole batch in the embedding.
+  TinySetup S;
+  JobQueue Q;
+  Q.push(S.job(JobMethod::Fast));
+  JobSpec Long = S.job(JobMethod::Fast);
+  Long.Tokens.assign(S.Model.Config.MaxLen + 1, S.Sent.Tokens[0]);
+  Q.push(Long);
+  std::vector<JobResult> R = Scheduler(S.Model).run(Q);
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_EQ(R[0].Status, JobStatus::Ok);
+  EXPECT_EQ(R[1].Status, JobStatus::Error);
+  EXPECT_EQ(R[1].Code, support::ErrorCode::JobInvalid);
+  EXPECT_FALSE(R[1].Certified);
+}
+
 } // namespace

@@ -4,9 +4,10 @@
 # environment variable: an injected short read must fail the model load
 # with exit class 3, a corrupted model file must be rejected the same
 # way, an injected NaN in a propagation must surface as a structured
-# unsound_abstraction batch record (never `certified`), and
+# unsound_abstraction batch record (never `certified`),
 # deept_json_validate must reject a store containing a bare non-finite
-# token. The byte-precise corruption corpus lives in
+# token, and a --corpus that does not match the model's vocabulary must
+# be a bad argument (exit class 2). The byte-precise corruption corpus lives in
 # tests/serialize_test.cpp; this drill checks the CLI surface. Run via:
 #   cmake -DDEEPT_CLI=... -DJSON_VALIDATE=... -DWORK_DIR=... -P SmokeFault.cmake
 
@@ -135,6 +136,21 @@ if(NOT Rc EQUAL 0)
 endif()
 if(NOT ErrOut MATCHES "ignoring DEEPT_FAULTS")
   message(FATAL_ERROR "missing malformed-spec warning, got: ${ErrOut}")
+endif()
+
+# Drill 6: a --corpus whose vocabulary is not the model's is a typed bad
+# argument (exit class 2) before any propagation: its token ids would
+# index past the model's embedding table.
+execute_process(
+  COMMAND "${DEEPT_CLI}" certify --model "${Model}" --corpus yelp
+          --sentences 1 --eps 0.01
+  RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR
+      "mismatched --corpus: want rc=2, got rc=${Rc}: ${ErrOut}")
+endif()
+if(NOT ErrOut MATCHES "bad_argument")
+  message(FATAL_ERROR "missing typed bad_argument error, got: ${ErrOut}")
 endif()
 
 message(STATUS "SmokeFault: all robustness drills passed")

@@ -11,8 +11,8 @@
 #   CC / CXX     compiler pair (default: whatever CMake picks)
 #   JOBS         parallel build jobs (default: nproc)
 #
-# Every .github/workflows/ci.yml job but the tier-1 matrix runs one of
-# these stages; the tier1 stage mirrors one configure+ctest matrix cell.
+# Every .github/workflows/ci.yml job runs one of these stages; the tier-1
+# matrix runs the tier1 stage once per compiler and build type.
 # ccache is used when installed and skipped otherwise, so the script runs
 # unchanged on boxes without it.
 
@@ -37,13 +37,16 @@ fi
 # gtest suites exercising the code each sanitizer targets. These are the
 # only definitions: the ci.yml tsan, asan and robustness jobs run these
 # stages. HeapPolicy.* skips under both sanitizers (their allocators
-# ignore mallopt); it runs so the skip stays visible.
+# ignore mallopt); it runs so the skip stays visible. Verifier observers
+# (profiles, certificate builders, the deadline/recorder observer) run on
+# pool workers inside scheduled jobs, so their suites run under TSan too.
 TSAN_FILTER='ParallelFor.*:TiledGemm.*:Determinism.*:HeapPolicy.*'
+TSAN_FILTER+=':Observer.*:SchedulerObservability.*:CertificateScheduler.*'
 ASAN_FILTER='Zonotope.*:ZonotopeBlocks.*:Elementwise.*:DotProduct.*'
 ASAN_FILTER+=':Softmax.*:Reduction.*'
 ASAN_FILTER+=':Norms/NormParamTest.*:Verify.*:Norms/VerifyNormTest.*'
 ASAN_FILTER+=':RadiusSearch*:FeedForwardVerifier.*:Scheduler.*'
-ASAN_FILTER+=':HeapPolicy.*'
+ASAN_FILTER+=':HeapPolicy.*:Observer.*'
 ROBUSTNESS_FILTER='Fault.*:Serialize.*:Io.*:Error.*:Json.*'
 ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
 ROBUSTNESS_FILTER+=':HeapPolicy.*'

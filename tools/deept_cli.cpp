@@ -149,6 +149,30 @@ data::CorpusConfig corpusConfig(const std::string &Kind, size_t EmbedDim) {
   return data::CorpusConfig::sstLike(EmbedDim);
 }
 
+/// The --corpus (default \p Default) a command samples for \p Model. Its
+/// vocabulary must be the model's and its sentences no longer than the
+/// model's MaxLen: the embedding guards both only with asserts, so a
+/// mismatch is a bad argument before any work.
+data::SyntheticCorpus modelCorpus(const ArgParse &Args, const char *Default,
+                                  const nn::TransformerModel &Model) {
+  std::string Kind = Args.get("corpus", Default);
+  data::SyntheticCorpus Corpus(corpusConfig(Kind, Model.Config.EmbedDim));
+  if (Corpus.vocabSize() != Model.Config.VocabSize)
+    throw support::Error(
+        support::ErrorCode::BadArgument, "cli.corpus",
+        "--corpus " + Kind + " has " + std::to_string(Corpus.vocabSize()) +
+            " words but the model's vocabulary has " +
+            std::to_string(Model.Config.VocabSize));
+  if (Corpus.config().MaxLen > Model.Config.MaxLen)
+    throw support::Error(
+        support::ErrorCode::BadArgument, "cli.corpus",
+        "--corpus " + Kind + " has sentences of up to " +
+            std::to_string(Corpus.config().MaxLen) +
+            " words but the model's maximum length is " +
+            std::to_string(Model.Config.MaxLen));
+  return Corpus;
+}
+
 double parseNorm(const std::string &Name) {
   if (Name == "l1")
     return 1.0;
@@ -224,8 +248,7 @@ int cmdCertify(const ArgParse &Args) {
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
+  data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
   double P = parseNorm(Args.get("norm", "l2"));
   size_t Word = Args.getInt("word", 0);
   size_t Count = Args.getInt("sentences", 3);
@@ -305,9 +328,9 @@ int cmdCertify(const ArgParse &Args) {
       Cfg.PreciseLastLayerOnly = true;
     Cfg.Precision = Precision;
     if (ProfileFile.isOpen())
-      Cfg.Profile = &Prof;
+      Cfg.Observers.push_back(&Prof);
     if (CertFile.isOpen())
-      Cfg.Certificate = &Cert;
+      Cfg.Observers.push_back(&Cert);
     verify::DeepTVerifier V(Model, Cfg);
     tensor::Matrix X = Model.embed(S.Tokens);
     zono::Zonotope In = zono::Zonotope::lpBallOnRow(X, Word, P, R);
@@ -376,8 +399,7 @@ int cmdSynonym(const ArgParse &Args) {
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "synonym"), Model.Config.EmbedDim));
+  data::SyntheticCorpus Corpus = modelCorpus(Args, "synonym", Model);
   verify::VerifierConfig Cfg;
   Cfg.NoiseReductionBudget = 600;
   verify::DeepTVerifier V(Model, Cfg);
@@ -408,8 +430,7 @@ int cmdAttack(const ArgParse &Args) {
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
+  data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
   double P = parseNorm(Args.get("norm", "l2"));
   size_t Word = Args.getInt("word", 0);
   support::Rng Rng(Args.getInt("seed", 4));
@@ -455,8 +476,7 @@ int cmdBatch(const ArgParse &Args) {
                  "error: batch needs --jobs FILE.json and --out FILE.jsonl\n");
     return 2;
   }
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
+  data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
 
   verify::JobQueue Queue;
   std::string Err;
@@ -665,8 +685,7 @@ int cmdWork(const ArgParse &Args) {
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "sst"), Model.Config.EmbedDim));
+  data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
   verify::JobQueue Queue;
   if (!verify::JobQueue::fromJsonFile(JobsPath, &Corpus, Queue, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
