@@ -33,8 +33,6 @@ const char *deept::support::errorCodeName(ErrorCode C) {
     return "fault_injected";
   case ErrorCode::Internal:
     return "internal";
-  case ErrorCode::LeaseLost:
-    return "lease_lost";
   }
   return "internal";
 }
@@ -50,7 +48,6 @@ int deept::support::exitCodeFor(ErrorCode C) {
   case ErrorCode::ModelNotFound:
   case ErrorCode::ModelCorrupt:
   case ErrorCode::StoreCorrupt:
-  case ErrorCode::LeaseLost:
     return 3;
   case ErrorCode::DeadlineExceeded:
     return 4;

@@ -61,9 +61,6 @@ enum class ErrorCode {
   FaultInjected,
   /// Anything else.
   Internal,
-  /// A coordination lease was lost (another worker reclaimed the range
-  /// after missed heartbeats). The holder must stop writing its shard.
-  LeaseLost,
 };
 
 /// Stable snake_case name of a code ("model_corrupt", ...). These strings
@@ -103,8 +100,7 @@ ErrorCode codeOf(const std::exception &E);
 /// re-executed (transient: io_error, out_of_memory, fault_injected).
 /// Permanent codes (model_corrupt, unsound_abstraction, job_invalid, ...)
 /// would fail identically on every attempt and must fail fast; deadline
-/// and lease losses have their own dedicated handling paths and are not
-/// retried either.
+/// misses have their own degradation path and are not retried either.
 bool isTransientError(ErrorCode C);
 
 } // namespace support

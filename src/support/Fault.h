@@ -40,12 +40,8 @@
 /// Example: `DEEPT_FAULTS=serialize.read:2:short,verify.propagate:1:nan`
 /// fails the second payload read and poisons the first propagation.
 ///
-/// Coordination drills use the sites `lease.heartbeat` (kind `delay`
-/// stalls renewals until the lease goes stale and is reclaimed) and
-/// `worker.crash` (kind `fail` kills a worker between finishing a range
-/// and publishing its done marker, leaving a held lease behind), plus
-/// `sched.execute` (kind `fail`/`alloc` drives the transient-retry path,
-/// kind `delay` stretches jobs so chaos drills can interleave).
+/// The scheduler's site `sched.execute` (kind `fail`/`alloc`) drives the
+/// transient-retry path; kind `delay` stretches jobs.
 ///
 //===----------------------------------------------------------------------===//
 

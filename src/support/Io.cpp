@@ -67,82 +67,6 @@ bool deept::support::atomicWriteFile(const std::string &Path,
   return true;
 }
 
-bool deept::support::createFileExclusive(const std::string &Path,
-                                         const std::string &Data, bool &Exists,
-                                         Error *Err) {
-  Exists = false;
-  int Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
-  if (Fd < 0) {
-    if (errno == EEXIST) {
-      Exists = true;
-      return false;
-    }
-    fill(Err, ErrorCode::IoError, "io.exclusive_create",
-         "cannot create '" + Path + "'");
-    return false;
-  }
-  bool Ok = writeAll(Fd, Data.data(), Data.size()) &&
-            !DEEPT_FAULT_IO_FAIL("io.exclusive_create");
-  Ok = Ok && ::fsync(Fd) == 0;
-  Ok = ::close(Fd) == 0 && Ok;
-  if (!Ok) {
-    ::unlink(Path.c_str());
-    fill(Err, ErrorCode::IoError, "io.exclusive_create",
-         "cannot write '" + Path + "'");
-    return false;
-  }
-  return true;
-}
-
-bool deept::support::renameFile(const std::string &From, const std::string &To,
-                                Error *Err) {
-  if (::rename(From.c_str(), To.c_str()) != 0) {
-    fill(Err, ErrorCode::IoError, "io.rename",
-         "cannot rename '" + From + "' to '" + To + "'");
-    return false;
-  }
-  return true;
-}
-
-bool deept::support::removeFile(const std::string &Path, Error *Err) {
-  if (::unlink(Path.c_str()) != 0) {
-    fill(Err, ErrorCode::IoError, "io.remove", "cannot remove '" + Path + "'");
-    return false;
-  }
-  return true;
-}
-
-bool deept::support::readFileToString(const std::string &Path, std::string &Out,
-                                      Error *Err) {
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0) {
-    fill(Err, ErrorCode::IoError, "io.read", "cannot open '" + Path + "'");
-    return false;
-  }
-  Out.clear();
-  char Buf[1 << 16];
-  for (;;) {
-    ssize_t R = ::read(Fd, Buf, sizeof(Buf));
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      fill(Err, ErrorCode::IoError, "io.read", "cannot read '" + Path + "'");
-      return false;
-    }
-    if (R == 0)
-      break;
-    Out.append(Buf, static_cast<size_t>(R));
-  }
-  ::close(Fd);
-  return true;
-}
-
-bool deept::support::fileExists(const std::string &Path) {
-  struct stat St;
-  return ::stat(Path.c_str(), &St) == 0;
-}
-
 bool AppendFile::open(const std::string &P, Error *Err) {
   close();
   Fd = ::open(P.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);

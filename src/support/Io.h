@@ -39,29 +39,6 @@ namespace support {
 bool atomicWriteFile(const std::string &Path, const std::string &Data,
                      Error *Err = nullptr);
 
-/// Creates \p Path with \p Data only if it does not already exist
-/// (O_CREAT|O_EXCL, fsync'd). The exclusive create is the mutual-exclusion
-/// primitive of the coordination layer: exactly one of N racing workers
-/// wins a lease file. Returns false with \p Exists set when Path already
-/// existed (not an error), false with \p Err filled on real IO failure.
-bool createFileExclusive(const std::string &Path, const std::string &Data,
-                         bool &Exists, Error *Err = nullptr);
-
-/// rename(2) wrapper. Atomic on one filesystem; fails (ENOENT) when
-/// \p From is already gone, which reclaim uses to pick a single winner.
-bool renameFile(const std::string &From, const std::string &To,
-                Error *Err = nullptr);
-
-/// unlink(2) wrapper; missing files are reported as failure with ENOENT.
-bool removeFile(const std::string &Path, Error *Err = nullptr);
-
-/// Reads the whole of \p Path into \p Out.
-bool readFileToString(const std::string &Path, std::string &Out,
-                      Error *Err = nullptr);
-
-/// True when \p Path can be stat'd.
-bool fileExists(const std::string &Path);
-
 /// An append-only file where each append is a single write(2). Move-only.
 class AppendFile {
 public:

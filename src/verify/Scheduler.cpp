@@ -720,7 +720,6 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
   static support::Counter &Degraded = M.counter("sched.degraded");
   static support::Counter &Errors = M.counter("sched.errors");
   static support::Counter &Skipped = M.counter("sched.skipped");
-  static support::Counter &Aborted = M.counter("sched.aborted");
   static support::Histogram &QueueLatencyMs =
       M.histogram("sched.queue_latency_ms");
   static support::Histogram &JobMs = M.histogram("sched.job_ms");
@@ -768,16 +767,6 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
       if (Done.count(R.Key)) {
         R.Status = JobStatus::Skipped;
         Skipped.add(1);
-        continue;
-      }
-      // A lost lease means another worker now owns this shard's jobs:
-      // abandon them with a typed error and, below, keep them out of the
-      // store (the reclaimer's re-run writes the canonical records).
-      if (Opts.AbortCheck && Opts.AbortCheck()) {
-        R.Status = JobStatus::Error;
-        R.Code = support::ErrorCode::LeaseLost;
-        R.Error = "batch aborted: lease lost before the job started";
-        Aborted.add(1);
         continue;
       }
       // The span carries the job key (not the queue index) so trace

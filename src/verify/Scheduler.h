@@ -37,7 +37,6 @@
 #include "verify/RadiusSearch.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -214,11 +213,6 @@ struct SchedulerOptions {
   int MaxRetries = 0;
   int64_t RetryBackoffMs = 100;
   int64_t RetryBackoffMaxMs = 5000;
-  /// Polled before each job starts; when it returns true the remaining
-  /// jobs are abandoned as lease_lost error results and -- crucially --
-  /// are NOT appended to the JSONL store. The coordination layer sets
-  /// this so a worker whose lease was reclaimed stops writing its shard.
-  std::function<bool()> AbortCheck;
 };
 
 /// The batch driver. One instance serves one model; run() may be called

@@ -50,14 +50,13 @@ private:
 /// Loads the cached model \p Name (e.g. "sst_m12") into \p Model. Looks in
 /// nn::defaultModelCacheDir() -- DEEPT_MODEL_CACHE when set, else the
 /// working directory's deept-model-cache -- then in the tracked copy under
-/// the source tree's bench/deept-model-cache. Returns false when neither
-/// holds a loadable model; callers skip.
+/// the source tree's deept-model-cache. Returns false when neither holds a
+/// loadable model; callers skip.
 inline bool loadCachedModel(const std::string &Name,
                             nn::TransformerModel &Model) {
   const std::string Candidates[] = {
       nn::defaultModelCacheDir() + "/" + Name + ".dptm",
-      std::string(DEEPT_SOURCE_DIR) + "/bench/deept-model-cache/" + Name +
-          ".dptm",
+      std::string(DEEPT_SOURCE_DIR) + "/deept-model-cache/" + Name + ".dptm",
   };
   for (const std::string &Path : Candidates)
     if (nn::loadModel(Path, Model))

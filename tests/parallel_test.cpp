@@ -217,8 +217,8 @@ TEST(Determinism, CertifiedMarginsBitIdenticalAcrossThreadCounts) {
 }
 
 /// Same contract against the cached SST model used by the bench tables,
-/// when it is available (the cache lives in bench/deept-model-cache; set
-/// DEEPT_MODEL_CACHE to point elsewhere).
+/// when it is available (the tracked copy lives in the source tree's
+/// deept-model-cache; set DEEPT_MODEL_CACHE to point elsewhere).
 TEST(Determinism, CachedSstModelRadiiBitIdentical) {
   nn::TransformerModel Model;
   if (!testhelp::loadCachedModel("sst_m12", Model))

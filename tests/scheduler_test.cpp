@@ -2,8 +2,11 @@
 //
 // Tests of verify::Scheduler: a mixed batch with forced deadline expiry
 // and forced failures gets the right ok/degraded/error tags, the JSONL
-// result store resumes by skipping completed keys, and per-job margins
-// are bit-identical to serial single-job runs at any thread count.
+// result store resumes by skipping completed keys (and re-runs a record
+// whose CRC no longer matches), transient failures are retried on a
+// deterministic backoff while permanent ones fail fast, and per-job
+// margins are bit-identical to serial single-job runs at any thread
+// count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,6 +14,8 @@
 
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
+#include "support/Error.h"
+#include "support/Fault.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
@@ -26,6 +31,7 @@
 #include <vector>
 
 using namespace deept;
+using support::ErrorCode;
 using testhelp::ScopedThreads;
 using tensor::Matrix;
 using verify::JobMethod;
@@ -35,8 +41,30 @@ using verify::JobSpec;
 using verify::JobStatus;
 using verify::Scheduler;
 using verify::SchedulerOptions;
+namespace fault = deept::support::fault;
 
 namespace {
+
+/// Arms a spec for the scope and disarms on exit, so a failing assertion
+/// cannot leak an armed fault into later tests.
+class ScopedFaults {
+public:
+  explicit ScopedFaults(const std::string &Spec) {
+    std::string Err;
+    EXPECT_TRUE(fault::arm(Spec, &Err)) << Err;
+  }
+  ~ScopedFaults() { fault::disarm(); }
+};
+
+/// The macro-compiled sites are only present with DEEPT_FAULT_INJECT;
+/// retry drills through `sched.execute` skip on a bare build.
+bool sitesCompiledIn() {
+#ifdef DEEPT_FAULT_INJECT
+  return true;
+#else
+  return false;
+#endif
+}
 
 /// Deletes a temp file on scope exit.
 class TempFile {
@@ -519,6 +547,203 @@ TEST(Scheduler, OverLongJobIsInvalidNotFatal) {
   EXPECT_EQ(R[1].Status, JobStatus::Error);
   EXPECT_EQ(R[1].Code, support::ErrorCode::JobInvalid);
   EXPECT_FALSE(R[1].Certified);
+}
+
+//===----------------------------------------------------------------------===//
+// Per-record CRCs in the JSONL store
+//===----------------------------------------------------------------------===//
+
+TEST(Scheduler, RecordCrcRoundTrip) {
+  std::string Line = Scheduler::withRecordCrc("{\"key\":\"a\",\"x\":1}");
+  EXPECT_NE(Line.find(",\"crc32\":"), std::string::npos);
+  EXPECT_EQ(Line.back(), '}');
+  EXPECT_EQ(Scheduler::checkRecordCrc(Line), Scheduler::RecordCrc::Ok);
+
+  // Any payload flip breaks the check; a record without the field (a
+  // store written before CRCs existed) is Missing, which resume
+  // tolerates.
+  std::string Flipped = Line;
+  Flipped[2] = 'K';
+  EXPECT_EQ(Scheduler::checkRecordCrc(Flipped),
+            Scheduler::RecordCrc::Mismatch);
+  EXPECT_EQ(Scheduler::checkRecordCrc("{\"key\":\"a\",\"x\":1}"),
+            Scheduler::RecordCrc::Missing);
+}
+
+TEST(Scheduler, ResumeReRunsOnlyCrcCorruptedRecord) {
+  TinySetup S;
+  TempFile Store("scheduler_test_crcstore.jsonl");
+  // One thread keeps store order equal to queue order, so line 1 is
+  // deterministically job "b".
+  ScopedThreads T(1);
+
+  JobQueue Q;
+  JobSpec A = S.job(JobMethod::Fast, 0.02);
+  A.Id = "a";
+  JobSpec B = S.job(JobMethod::Fast, 0.05);
+  B.Id = "b";
+  JobSpec C = S.job(JobMethod::Precise, 0.05);
+  C.Id = "c";
+  Q.push(A);
+  Q.push(B);
+  Q.push(C);
+
+  SchedulerOptions Opts;
+  Opts.JsonlPath = Store.path();
+  Opts.Resume = true;
+  Scheduler Sched(S.Model, Opts);
+  std::vector<JobResult> First = Sched.run(Q);
+  for (const JobResult &R : First)
+    EXPECT_EQ(R.Status, JobStatus::Ok);
+
+  // Flip one interior byte of record "b" (an undetectable-by-framing
+  // corruption: the line still parses as JSON). The CRC catches it.
+  std::string Bytes = readFileBytes(Store.path());
+  size_t Pos = Bytes.find("\"key\":\"b\"");
+  ASSERT_NE(Pos, std::string::npos);
+  Pos = Bytes.find("\"status\":\"ok\"", Pos);
+  ASSERT_NE(Pos, std::string::npos);
+  Bytes[Pos + 10] = 'O';
+  writeFileBytes(Store.path(), Bytes);
+
+  double DroppedBefore =
+      support::Metrics::global().counterValue("store.crc_dropped");
+  std::vector<JobResult> Second = Sched.run(Q);
+  ASSERT_EQ(Second.size(), 3u);
+  EXPECT_EQ(Second[0].Status, JobStatus::Skipped);
+  EXPECT_EQ(Second[1].Status, JobStatus::Ok); // re-ran, not trusted
+  EXPECT_EQ(Second[2].Status, JobStatus::Skipped);
+  EXPECT_EQ(Second[1].Margin, First[1].Margin);
+  EXPECT_GT(support::Metrics::global().counterValue("store.crc_dropped"),
+            DroppedBefore);
+
+  // The store ends with a fresh, CRC-valid record for "b".
+  auto Keys = Scheduler::completedKeys(Store.path());
+  EXPECT_EQ(Keys.size(), 3u);
+  EXPECT_EQ(Keys.count("b"), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Retry with deterministic backoff
+//===----------------------------------------------------------------------===//
+
+TEST(Scheduler, TransientFaultIsRetriedAndSucceeds) {
+  if (!sitesCompiledIn())
+    GTEST_SKIP() << "fault sites compiled out";
+  TinySetup S;
+  ScopedFaults F("sched.execute:1:fail");
+
+  SchedulerOptions Opts;
+  Opts.MaxRetries = 2;
+  Opts.RetryBackoffMs = 1;
+  double RetriesBefore =
+      support::Metrics::global().counterValue("sched.retries");
+  double BackoffBefore =
+      support::Metrics::global().histogramStats("sched.retry_backoff_ms").Sum;
+
+  JobQueue Q;
+  Q.push(S.job(JobMethod::Fast));
+  std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_EQ(R[0].Status, JobStatus::Ok);
+  EXPECT_EQ(R[0].Retries, 1);
+  EXPECT_EQ(support::Metrics::global().counterValue("sched.retries"),
+            RetriesBefore + 1);
+  // First retry waits exactly RetryBackoffMs (jitter-free schedule).
+  EXPECT_EQ(
+      support::Metrics::global().histogramStats("sched.retry_backoff_ms").Sum,
+      BackoffBefore + 1);
+  // The store line records the retry count for post-mortems.
+  EXPECT_NE(Scheduler::resultJsonLine(R[0]).find("\"retries\":1"),
+            std::string::npos);
+}
+
+TEST(Scheduler, RetryExhaustionIsATypedErrorThatNeverBlocksTheBatch) {
+  if (!sitesCompiledIn())
+    GTEST_SKIP() << "fault sites compiled out";
+  TinySetup S;
+  TempFile Store("scheduler_test_exhaust.jsonl");
+  ScopedFaults F("sched.execute:0:fail"); // every attempt fails
+
+  SchedulerOptions Opts;
+  Opts.JsonlPath = Store.path();
+  Opts.MaxRetries = 3;
+  Opts.RetryBackoffMs = 1;
+  Opts.RetryBackoffMaxMs = 2;
+  double BackoffBefore =
+      support::Metrics::global().histogramStats("sched.retry_backoff_ms").Sum;
+
+  JobQueue Q;
+  Q.push(S.job(JobMethod::Fast, 0.02));
+  Q.push(S.job(JobMethod::Fast, 0.05));
+  std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
+  ASSERT_EQ(R.size(), 2u);
+  for (const JobResult &J : R) {
+    EXPECT_EQ(J.Status, JobStatus::Error);
+    EXPECT_EQ(J.Code, ErrorCode::FaultInjected);
+    EXPECT_EQ(J.Retries, 3);
+    EXPECT_FALSE(J.Certified);
+  }
+  // The deterministic schedule (base 1ms, cap 2ms) waits 1+2+2 per job.
+  EXPECT_EQ(
+      support::Metrics::global().histogramStats("sched.retry_backoff_ms").Sum,
+      BackoffBefore + 2 * (1 + 2 + 2));
+  // Both failures landed in the store as typed records.
+  EXPECT_EQ(Scheduler::completedKeys(Store.path()).size(), 2u);
+}
+
+TEST(Scheduler, PermanentErrorsAreNeverRetried) {
+  TinySetup S;
+  SchedulerOptions Opts;
+  Opts.MaxRetries = 5;
+  Opts.RetryBackoffMs = 1;
+  double RetriesBefore =
+      support::Metrics::global().counterValue("sched.retries");
+
+  JobQueue Q;
+  JobSpec Bad = S.job(JobMethod::Fast);
+  Bad.Word = 99; // permanent: job_invalid, retrying cannot help
+  Q.push(Bad);
+  std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_EQ(R[0].Status, JobStatus::Error);
+  EXPECT_EQ(R[0].Code, ErrorCode::JobInvalid);
+  EXPECT_EQ(R[0].Retries, 0);
+  EXPECT_EQ(support::Metrics::global().counterValue("sched.retries"),
+            RetriesBefore);
+}
+
+TEST(Scheduler, OutOfMemoryDegradesBeforeRetrying) {
+  if (!sitesCompiledIn())
+    GTEST_SKIP() << "fault sites compiled out";
+  TinySetup S;
+  SchedulerOptions Opts;
+  Opts.MaxRetries = 1;
+  Opts.RetryBackoffMs = 1;
+
+  // A Precise job hit by an allocation fault degrades to Fast (cheaper
+  // sound answer now) without spending a retry...
+  {
+    ScopedFaults F("sched.execute:1:alloc");
+    JobQueue Q;
+    Q.push(S.job(JobMethod::Precise));
+    std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
+    ASSERT_EQ(R.size(), 1u);
+    EXPECT_EQ(R[0].Status, JobStatus::Degraded);
+    EXPECT_EQ(R[0].MethodUsed, JobMethod::Fast);
+    EXPECT_EQ(R[0].Retries, 0);
+  }
+  // ...while a Fast job has nothing below it, so the same fault takes
+  // the transient-retry path instead.
+  {
+    ScopedFaults F("sched.execute:1:alloc");
+    JobQueue Q;
+    Q.push(S.job(JobMethod::Fast));
+    std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
+    ASSERT_EQ(R.size(), 1u);
+    EXPECT_EQ(R[0].Status, JobStatus::Ok);
+    EXPECT_EQ(R[0].Retries, 1);
+  }
 }
 
 } // namespace

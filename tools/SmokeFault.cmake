@@ -6,29 +6,19 @@
 # way, an injected NaN in a propagation must surface as a structured
 # unsound_abstraction batch record (never `certified`),
 # deept_json_validate must reject a store containing a bare non-finite
-# token, and a --corpus that does not match the model's vocabulary must
-# be a bad argument (exit class 2). The byte-precise corruption corpus lives in
+# token, and a --corpus that does not match the model's vocabulary, a
+# misspelled flag or an unknown command must be a bad argument (exit
+# class 2). The byte-precise corruption corpus lives in
 # tests/serialize_test.cpp; this drill checks the CLI surface. Run via:
 #   cmake -DDEEPT_CLI=... -DJSON_VALIDATE=... -DWORK_DIR=... -P SmokeFault.cmake
 
-foreach(Var DEEPT_CLI JSON_VALIDATE WORK_DIR)
-  if(NOT DEFINED ${Var})
-    message(FATAL_ERROR "SmokeFault.cmake needs -D${Var}=...")
-  endif()
-endforeach()
+include("${CMAKE_CURRENT_LIST_DIR}/SmokeCommon.cmake")
 
-file(MAKE_DIRECTORY "${WORK_DIR}")
 set(Model "${WORK_DIR}/fault.dptm")
 set(Jobs "${WORK_DIR}/jobs.json")
 set(Results "${WORK_DIR}/results.jsonl")
 
-execute_process(
-  COMMAND "${DEEPT_CLI}" train --out "${Model}" --layers 1 --embed 8
-          --heads 2 --hidden 8 --steps 5
-  RESULT_VARIABLE Rc)
-if(NOT Rc EQUAL 0)
-  message(FATAL_ERROR "deept_cli train failed (rc=${Rc})")
-endif()
+smoke_train_model("${Model}")
 
 # Drill 1: an injected short read fails the load with exit class 3
 # (model/store load failure) and a typed error -- not a crash, not a 0.
@@ -151,6 +141,26 @@ if(NOT Rc EQUAL 2)
 endif()
 if(NOT ErrOut MATCHES "bad_argument")
   message(FATAL_ERROR "missing typed bad_argument error, got: ${ErrOut}")
+endif()
+
+# Drill 7: a misspelled flag is a typed bad argument naming the flag, not
+# a silently ignored option (here it would have meant: no retries), and a
+# command that does not exist is rejected the same way.
+execute_process(
+  COMMAND "${DEEPT_CLI}" batch --model "${Model}" --jobs "${Jobs}"
+          --out "${Results}" --max-retires 3
+  RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR "misspelled flag: want rc=2, got rc=${Rc}: ${ErrOut}")
+endif()
+if(NOT ErrOut MATCHES "bad_argument.*--max-retires")
+  message(FATAL_ERROR "missing typed bad_argument naming the flag: ${ErrOut}")
+endif()
+execute_process(
+  COMMAND "${DEEPT_CLI}" work --model "${Model}" --jobs "${Jobs}"
+  RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
+if(NOT Rc EQUAL 2)
+  message(FATAL_ERROR "unknown command: want rc=2, got rc=${Rc}: ${ErrOut}")
 endif()
 
 message(STATUS "SmokeFault: all robustness drills passed")

@@ -8,29 +8,18 @@
 # Pass -DTHREADS=N to run the certify step with --threads N (the
 # parallel_smoke test drives the thread pool through the same harness).
 
-foreach(Var DEEPT_CLI JSON_VALIDATE WORK_DIR)
-  if(NOT DEFINED ${Var})
-    message(FATAL_ERROR "SmokeTrace.cmake needs -D${Var}=...")
-  endif()
-endforeach()
+include("${CMAKE_CURRENT_LIST_DIR}/SmokeCommon.cmake")
 
 set(ThreadFlags)
 if(DEFINED THREADS)
   set(ThreadFlags --threads "${THREADS}")
 endif()
 
-file(MAKE_DIRECTORY "${WORK_DIR}")
 set(Model "${WORK_DIR}/smoke.dptm")
 set(TraceJson "${WORK_DIR}/smoke.trace.json")
 set(StatsJson "${WORK_DIR}/smoke.stats.json")
 
-execute_process(
-  COMMAND "${DEEPT_CLI}" train --out "${Model}" --layers 1 --embed 8
-          --heads 2 --hidden 8 --steps 5
-  RESULT_VARIABLE Rc)
-if(NOT Rc EQUAL 0)
-  message(FATAL_ERROR "deept_cli train failed (rc=${Rc})")
-endif()
+smoke_train_model("${Model}")
 
 execute_process(
   COMMAND "${DEEPT_CLI}" certify --model "${Model}" --sentences 1

@@ -3,8 +3,8 @@
 #
 # Usage: tools/ci_local.sh [STAGE...]
 #   Stages: tier1 tsan asan robustness artifacts observability simd
-#           certificates coordination perf
-#   (default: all ten, in order)
+#           certificates perf
+#   (default: all nine, in order)
 #
 # Environment:
 #   BUILD_TYPE   CMake build type for tier1/artifacts (default Release)
@@ -24,7 +24,7 @@ BUILD_TYPE="${BUILD_TYPE:-Release}"
 STAGES=("$@")
 [ ${#STAGES[@]} -eq 0 ] && \
   STAGES=(tier1 tsan asan robustness artifacts observability simd
-          certificates coordination perf)
+          certificates perf)
 
 CMAKE_COMMON=()
 if command -v ccache >/dev/null 2>&1; then
@@ -49,7 +49,9 @@ ASAN_FILTER+=':RadiusSearch*:FeedForwardVerifier.*:Scheduler.*'
 ASAN_FILTER+=':HeapPolicy.*:Observer.*'
 ROBUSTNESS_FILTER='Fault.*:Serialize.*:Io.*:Error.*:Json.*'
 ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
-ROBUSTNESS_FILTER+=':HeapPolicy.*'
+ROBUSTNESS_FILTER+=':Scheduler.Transient*:Scheduler.Retry*'
+ROBUSTNESS_FILTER+=':Scheduler.Permanent*:Scheduler.OutOfMemory*'
+ROBUSTNESS_FILTER+=':Scheduler.RecordCrc*:HeapPolicy.*'
 SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*:F32Soundness.*'
 SIMD_FILTER+=':TiledGemm.*:Determinism.*:Refinement.*'
 
@@ -328,134 +330,6 @@ stage_certificates() {
   echo "certificate artifacts in $Out"
 }
 
-stage_coordination() {
-  echo "== coordination: kill -9 chaos drill, 3 workers under ASan =="
-  # The lease/retry unit drills plus the headline chaos drill: three
-  # worker processes drain one cached-model batch, one is SIGKILLed
-  # mid-run, and the survivors must converge to a merged store whose
-  # margins are bit-identical to a serial single-worker run.
-  configure "$ROOT/build-ci/asan" -DDEEPT_SANITIZE=address \
-            -DDEEPT_FAULT_INJECT=ON
-  cmake --build "$ROOT/build-ci/asan" -j "$JOBS" \
-        --target deept_tests deept_cli deept_json_validate
-  "$ROOT/build-ci/asan/tests/deept_tests" \
-      --gtest_filter='Lease.*:Coordination.*:Scheduler.Transient*:Scheduler.Retry*:Scheduler.Permanent*:Scheduler.OutOfMemory*:Scheduler.Abort*:Scheduler.RecordCrc*:Scheduler.ResumeReRunsOnlyCrc*'
-  local Cli="$ROOT/build-ci/asan/tools/deept_cli"
-  local Validate="$ROOT/build-ci/asan/tools/deept_json_validate"
-  local Out="$ROOT/build-ci/coordination"
-  rm -rf "$Out"
-  mkdir -p "$Out"
-
-  # Six deterministic fixed-eps jobs on the cached 12-layer model: no
-  # deadlines, nothing timing dependent, so every semantic field of
-  # every record is reproducible across workers.
-  cat > "$Out/jobs.json" <<'EOF'
-{"jobs":[
-  {"id":"j0","seed":3,"word":0,"norm":"l2","eps":0.005,"method":"fast"},
-  {"id":"j1","seed":4,"word":0,"norm":"l2","eps":0.005,"method":"fast"},
-  {"id":"j2","seed":5,"word":0,"norm":"l2","eps":0.005,"method":"fast"},
-  {"id":"j3","seed":6,"word":0,"norm":"linf","eps":0.001,"method":"fast"},
-  {"id":"j4","seed":7,"word":0,"norm":"l1","eps":0.01,"method":"fast"},
-  {"id":"j5","seed":8,"word":0,"norm":"l2","eps":0.01,"method":"fast"}
-]}
-EOF
-  local Model="$ROOT/deept-model-cache/sst_m12.dptm"
-
-  # Serial reference (no fault env: only the workers get stretched).
-  DEEPT_MODEL_CACHE="$ROOT/deept-model-cache" \
-    "$Cli" batch --model "$Model" --jobs "$Out/jobs.json" \
-      --out "$Out/serial.jsonl"
-
-  # Three workers race over six ranges. sched.execute:0:delay:300
-  # stretches every job by 300ms so the SIGKILL below reliably lands
-  # while the victim holds a lease mid-range.
-  local Pids=() K
-  for K in 1 2 3; do
-    DEEPT_MODEL_CACHE="$ROOT/deept-model-cache" \
-      DEEPT_FAULTS=sched.execute:0:delay:300 \
-      "$Cli" work --model "$Model" --jobs "$Out/jobs.json" \
-        --lease-dir "$Out/leases" --ranges 6 --worker-id "w$K" \
-        --heartbeat-ms 100 --stale-ms 1000 \
-        > "$Out/worker-$K.log" 2>&1 &
-    Pids[$K]=$!
-  done
-
-  # Snapshot a live lease for schema validation while the drill runs.
-  local Snapshot="" Lease Tries=0
-  while [ -z "$Snapshot" ] && [ "$Tries" -lt 50 ]; do
-    for Lease in "$Out"/leases/range-*.lease; do
-      [ -e "$Lease" ] || continue
-      cp "$Lease" "$Out/lease-snapshot.json" 2>/dev/null || continue
-      Snapshot="$Out/lease-snapshot.json"
-      break
-    done
-    Tries=$((Tries + 1))
-    sleep 0.1
-  done
-  [ -n "$Snapshot" ] || {
-    echo "coordination: no lease file appeared to snapshot" >&2
-    exit 1
-  }
-  "$Validate" --schema lease "$Snapshot"
-
-  # The headline drill: SIGKILL worker 2 mid-batch. No cleanup handler
-  # runs -- its lease goes stale and a survivor reclaims it.
-  sleep 1
-  kill -9 "${Pids[2]}" 2>/dev/null || true
-  wait "${Pids[2]}" 2>/dev/null || true
-  local Rc=0
-  wait "${Pids[1]}" || Rc=$?
-  [ "$Rc" -eq 0 ] || {
-    echo "coordination: worker 1 failed (rc=$Rc)" >&2
-    cat "$Out/worker-1.log" >&2
-    exit 1
-  }
-  wait "${Pids[3]}" || Rc=$?
-  [ "$Rc" -eq 0 ] || {
-    echo "coordination: worker 3 failed (rc=$Rc)" >&2
-    cat "$Out/worker-3.log" >&2
-    exit 1
-  }
-
-  # Convergence: every range published its done marker.
-  local Range
-  for Range in 0 1 2 3 4 5; do
-    [ -e "$Out/leases/range-$Range.done" ] || {
-      echo "coordination: range $Range never completed" >&2
-      cat "$Out"/worker-*.log >&2
-      exit 1
-    }
-  done
-
-  # Merge the shards and hold the result against the serial run: same
-  # keys, and bit-identical status/margin/certified per key (timing
-  # fields and the per-record CRC legitimately differ).
-  "$Cli" merge --lease-dir "$Out/leases" --out "$Out/merged.jsonl"
-  "$Validate" --jsonl --require-key key "$Out/merged.jsonl"
-  python3 - "$Out/serial.jsonl" "$Out/merged.jsonl" <<'EOF'
-import json, sys
-
-def semantics(path):
-    out = {}
-    for line in open(path):
-        line = line.strip()
-        if not line:
-            continue
-        r = json.loads(line)
-        out[r["key"]] = (r["status"], r.get("margin"), r.get("certified"),
-                         r.get("radius"), r.get("error_code"))
-    return out
-
-serial, merged = semantics(sys.argv[1]), semantics(sys.argv[2])
-missing = set(serial) ^ set(merged)
-assert not missing, f"lost/extra records: {missing}"
-diff = {k: (serial[k], merged[k]) for k in serial if serial[k] != merged[k]}
-assert not diff, f"semantic fields differ: {diff}"
-print(f"coordination: {len(merged)} records bit-identical to serial")
-EOF
-  echo "coordination artifacts in $Out"
-}
-
 stage_perf() {
   echo "== perf: bench regression gate vs bench/baselines (scalar ISA) =="
   for Baseline in BENCH_micro_ops.json BENCH_table1_sst_fast_vs_baf.json; do
@@ -500,11 +374,10 @@ for Stage in "${STAGES[@]}"; do
     observability) stage_observability ;;
     simd) stage_simd ;;
     certificates) stage_certificates ;;
-    coordination) stage_coordination ;;
     perf) stage_perf ;;
     *) echo "unknown stage '$Stage'" \
             "(want tier1 tsan asan robustness artifacts observability" \
-            "simd certificates coordination perf)" >&2
+            "simd certificates perf)" >&2
        exit 2 ;;
   esac
 done

@@ -10,6 +10,7 @@
 //   deept_cli certify --model model.dptm --corpus sst --norm l2 [...]
 //   deept_cli synonym --model model.dptm --corpus synonym [--count 10]
 //   deept_cli attack  --model model.dptm --corpus sst --norm l2 [...]
+//   deept_cli batch   --model model.dptm --jobs jobs.json --out r.jsonl
 //   deept_cli info    --model model.dptm
 //
 //===----------------------------------------------------------------------===//
@@ -30,7 +31,6 @@
 #include "support/Trace.h"
 #include "tensor/Kernels.h"
 #include "verify/Certificate.h"
-#include "verify/Coordination.h"
 #include "verify/DeepT.h"
 #include "verify/Profile.h"
 #include "verify/RadiusSearch.h"
@@ -40,11 +40,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
 #include <vector>
 
 using namespace deept;
@@ -80,8 +79,9 @@ int usage() {
       "  synonym  --model FILE [--corpus ...] [--count N]\n"
       "  attack   --model FILE [--corpus ...] [--norm l1|l2|linf] [--word N]\n"
       "  batch    --model FILE --jobs FILE.json --out FILE.jsonl\n"
-      "           [--corpus ...] [--deadline-ms N] [--resume] [--fsync]\n"
-      "           [--profile-out FILE.jsonl] [--recorder-dir DIR]\n"
+      "           [--corpus ...] [--deadline-ms N] [--max-retries N]\n"
+      "           [--resume] [--fsync] [--profile-out FILE.jsonl]\n"
+      "           [--recorder-dir DIR] [--cert-dir DIR]\n"
       "           run a batch of certification jobs on the scheduler:\n"
       "           per-job deadlines, Precise->Fast degradation, results\n"
       "           appended to the JSONL store (one object per job);\n"
@@ -91,30 +91,13 @@ int usage() {
       "           --profile-out streams per-job precision profiles,\n"
       "           --recorder-dir keeps a flight-recorder artifact\n"
       "           (recorder-<key>.json) for each job that errors or hits\n"
-      "           its deadline, and --cert-dir DIR writes a proof\n"
+      "           its deadline, and --cert-dir writes a proof\n"
       "           certificate (cert-<key>.json, replayable with\n"
       "           deept_check) for each DeepT job whose final probe\n"
-      "           certified\n"
-      "  work     --model FILE --jobs FILE.json --lease-dir DIR\n"
-      "           [--corpus ...] [--workers N] [--ranges N]\n"
-      "           [--worker-id ID] [--heartbeat-ms N] [--stale-ms N]\n"
-      "           [--max-retries N] [--deadline-ms N] [--fsync]\n"
-      "           [--out FILE.jsonl]\n"
-      "           crash-tolerant multi-worker batch: jobs shard into\n"
-      "           --ranges digest ranges, each guarded by a lease file\n"
-      "           under --lease-dir (heartbeat every --heartbeat-ms;\n"
-      "           leases silent for --stale-ms, default 5 heartbeats, are\n"
-      "           reclaimed and their shard resumed). Run the same\n"
-      "           command from N machines/processes, or let --workers N\n"
-      "           fork N local workers. Transient job failures retry up\n"
-      "           to --max-retries times on a deterministic exponential\n"
-      "           backoff. --out merges the shards once every range is\n"
-      "           done (equivalent to a separate `merge`)\n"
-      "  merge    --lease-dir DIR --out FILE.jsonl [--ranges N]\n"
-      "           merge the per-range shards of a `work` batch into one\n"
-      "           canonical results JSONL (sorted by key, CRC-checked,\n"
-      "           duplicate records collapsed; conflicting duplicates are\n"
-      "           a store_corrupt error)\n"
+      "           certified; transient job failures (io_error,\n"
+      "           out_of_memory, fault_injected) retry up to\n"
+      "           --max-retries times on a deterministic exponential\n"
+      "           backoff\n"
       "  metrics  [--from stats.json]  print the metrics registry (or a\n"
       "           saved --stats-json artifact) in Prometheus text\n"
       "           exposition format\n"
@@ -452,17 +435,15 @@ int cmdAttack(const ArgParse &Args) {
 }
 
 /// The operator-facing end-of-run health line: degraded IO (certificate
-/// write failures, store records dropped for CRC mismatch) and the
-/// coordination/retry counters, without scraping --stats-json.
+/// write failures, store records dropped for CRC mismatch) and the retry
+/// counter, without scraping --stats-json.
 void printHealthLine() {
   support::Metrics &M = support::Metrics::global();
   std::printf("health: %.0f cert write failures, %.0f store crc drops, "
-              "%.0f retries, %.0f leases claimed, %.0f leases reclaimed\n",
+              "%.0f retries\n",
               M.counterValue("cert.write_failures"),
               M.counterValue("store.crc_dropped"),
-              M.counterValue("sched.retries"),
-              M.counterValue("coord.leases_claimed"),
-              M.counterValue("coord.leases_reclaimed"));
+              M.counterValue("sched.retries"));
 }
 
 int cmdBatch(const ArgParse &Args) {
@@ -541,188 +522,6 @@ int cmdBatch(const ArgParse &Args) {
   return 0;
 }
 
-int runMerge(const std::string &LeaseDir, size_t Ranges,
-             const std::string &OutPath) {
-  verify::MergeReport Rep;
-  support::Error Err;
-  if (!verify::mergeShards(LeaseDir, Ranges, OutPath, Rep, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.what());
-    return support::exitCodeFor(Err.code() == support::ErrorCode::Ok
-                                    ? support::ErrorCode::Internal
-                                    : Err.code());
-  }
-  std::printf("merge: %zu records from %zu shards -> %s (%zu duplicates "
-              "collapsed, %zu crc-dropped, %zu malformed dropped)\n",
-              Rep.Records, Rep.Shards, OutPath.c_str(),
-              Rep.DuplicatesCollapsed, Rep.DroppedCrc, Rep.DroppedMalformed);
-  return 0;
-}
-
-int cmdMerge(const ArgParse &Args) {
-  std::string LeaseDir = Args.get("lease-dir");
-  std::string OutPath = Args.get("out");
-  if (LeaseDir.empty() || OutPath.empty()) {
-    std::fprintf(stderr,
-                 "error: merge needs --lease-dir DIR and --out FILE.jsonl\n");
-    return 2;
-  }
-  std::string Err;
-  long Ranges = 0;
-  if (!Args.getIntStrict("ranges", Ranges, &Err) || Ranges < 0) {
-    std::fprintf(stderr, "error: %s\n",
-                 Err.empty() ? "--ranges must be >= 0" : Err.c_str());
-    return 2;
-  }
-  return runMerge(LeaseDir, static_cast<size_t>(Ranges), OutPath);
-}
-
-/// The raw command line, stashed by main() so the --workers fork path can
-/// re-exec this binary with a per-child worker id.
-int GArgc = 0;
-const char *const *GArgv = nullptr;
-
-int cmdWork(const ArgParse &Args) {
-  std::string JobsPath = Args.get("jobs");
-  std::string LeaseDir = Args.get("lease-dir");
-  if (JobsPath.empty() || LeaseDir.empty()) {
-    std::fprintf(
-        stderr,
-        "error: work needs --jobs FILE.json and --lease-dir DIR\n");
-    return 2;
-  }
-  std::string Err;
-  long Workers = 1, Ranges = 8, HeartbeatMs = 1000, StaleMs = 0,
-       MaxRetries = 2, DeadlineMs = 0;
-  struct IntFlag {
-    const char *Name;
-    long *Out;
-    long Min;
-  } Flags[] = {{"workers", &Workers, 1},      {"ranges", &Ranges, 1},
-               {"heartbeat-ms", &HeartbeatMs, 1}, {"stale-ms", &StaleMs, 0},
-               {"max-retries", &MaxRetries, 0},
-               {"deadline-ms", &DeadlineMs, 0}};
-  for (const IntFlag &F : Flags) {
-    if (!Args.getIntStrict(F.Name, *F.Out, &Err) || *F.Out < F.Min) {
-      if (Err.empty())
-        Err = "--" + std::string(F.Name) + " must be >= " +
-              std::to_string(F.Min);
-      std::fprintf(stderr, "error: %s\n", Err.c_str());
-      return 2;
-    }
-  }
-  ::mkdir(LeaseDir.c_str(), 0755); // existing directory is fine
-  std::string OutPath = Args.get("out");
-
-  if (Workers > 1) {
-    // fork + execv of this binary per worker: exec resets the process, so
-    // the children never inherit the parent's (possibly threaded) state.
-    std::string BaseId = Args.get("worker-id");
-    if (BaseId.empty())
-      BaseId = "w" + std::to_string(static_cast<long>(::getpid()));
-    std::vector<std::string> Base;
-    for (int I = 0; I < GArgc; ++I) {
-      std::string A = GArgv[I];
-      // Children are single workers with their own ids; the merge (--out)
-      // stays with the parent.
-      if (A == "--workers" || A == "--worker-id" || A == "--out") {
-        ++I;
-        continue;
-      }
-      Base.push_back(A);
-    }
-    std::vector<pid_t> Pids;
-    for (long K = 0; K < Workers; ++K) {
-      pid_t Pid = ::fork();
-      if (Pid < 0) {
-        std::perror("fork");
-        break;
-      }
-      if (Pid == 0) {
-        std::vector<std::string> ChildArgs = Base;
-        ChildArgs.push_back("--workers");
-        ChildArgs.push_back("1");
-        ChildArgs.push_back("--worker-id");
-        ChildArgs.push_back(BaseId + "-" + std::to_string(K));
-        std::vector<char *> Cv;
-        for (std::string &S : ChildArgs)
-          Cv.push_back(const_cast<char *>(S.c_str()));
-        Cv.push_back(nullptr);
-        ::execv("/proc/self/exe", Cv.data());
-        ::_exit(127);
-      }
-      Pids.push_back(Pid);
-    }
-    int Worst = Pids.empty() ? 5 : 0;
-    for (pid_t Pid : Pids) {
-      int St = 0;
-      ::waitpid(Pid, &St, 0);
-      int Rc = WIFEXITED(St) ? WEXITSTATUS(St)
-                             : 128 + (WIFSIGNALED(St) ? WTERMSIG(St) : 0);
-      if (Rc > Worst)
-        Worst = Rc;
-    }
-    // A failed child is not a failed batch: if every range still reached
-    // its done marker (survivors picked up the crashed worker's ranges),
-    // the batch converged.
-    bool AllDone = true;
-    for (long R = 0; R < Ranges; ++R)
-      if (!support::fileExists(
-              support::donePath(LeaseDir, static_cast<size_t>(R))))
-        AllDone = false;
-    if (!AllDone)
-      return Worst ? Worst : support::exitCodeFor(
-                                 support::ErrorCode::Internal);
-    if (Worst)
-      std::fprintf(stderr,
-                   "warning: a worker exited with status %d but the batch "
-                   "converged\n",
-                   Worst);
-    if (!OutPath.empty())
-      return runMerge(LeaseDir, static_cast<size_t>(Ranges), OutPath);
-    return 0;
-  }
-
-  nn::TransformerModel Model;
-  if (int Rc = loadModelOrFail(Args, Model))
-    return Rc;
-  data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
-  verify::JobQueue Queue;
-  if (!verify::JobQueue::fromJsonFile(JobsPath, &Corpus, Queue, &Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return support::exitCodeFor(support::ErrorCode::BadArgument);
-  }
-
-  verify::CoordinationOptions CO;
-  CO.LeaseDir = LeaseDir;
-  CO.Ranges = static_cast<size_t>(Ranges);
-  CO.WorkerId = Args.get("worker-id");
-  CO.HeartbeatMs = HeartbeatMs;
-  CO.StaleAfterMs = StaleMs;
-  CO.Sched.DefaultDeadlineMs = DeadlineMs;
-  CO.Sched.Fsync = Args.has("fsync");
-  CO.Sched.MaxRetries = static_cast<int>(MaxRetries);
-  CO.Sched.RecorderDir = Args.get("recorder-dir");
-  if (!CO.Sched.RecorderDir.empty())
-    ::mkdir(CO.Sched.RecorderDir.c_str(), 0755);
-  CO.Sched.CertDir = Args.get("cert-dir");
-  if (!CO.Sched.CertDir.empty())
-    ::mkdir(CO.Sched.CertDir.c_str(), 0755);
-
-  support::Timer Timer;
-  verify::Worker Worker(Model, Queue, CO);
-  verify::WorkerReport Rep = Worker.run();
-  std::printf("work: %zu ranges completed, %zu leases reclaimed, %zu jobs "
-              "(%zu ok, %zu degraded, %zu error, %zu skipped), %zu "
-              "certified, %.2f s wall\n",
-              Rep.RangesCompleted, Rep.LeasesReclaimed, Rep.Jobs, Rep.JobsOk,
-              Rep.JobsDegraded, Rep.JobsError, Rep.JobsSkipped, Rep.Certified,
-              Timer.seconds());
-  printHealthLine();
-  if (!OutPath.empty())
-    return runMerge(LeaseDir, CO.Ranges, OutPath);
-  return 0;
-}
-
 int cmdInfo(const ArgParse &Args) {
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
@@ -775,27 +574,36 @@ int cmdMetrics(const ArgParse &Args) {
   return 0;
 }
 
-int dispatch(const std::string &Cmd, const ArgParse &Args) {
-  if (Cmd == "train")
-    return cmdTrain(Args);
-  if (Cmd == "certify")
-    return cmdCertify(Args);
-  if (Cmd == "synonym")
-    return cmdSynonym(Args);
-  if (Cmd == "attack")
-    return cmdAttack(Args);
-  if (Cmd == "batch")
-    return cmdBatch(Args);
-  if (Cmd == "work")
-    return cmdWork(Args);
-  if (Cmd == "merge")
-    return cmdMerge(Args);
-  if (Cmd == "metrics")
-    return cmdMetrics(Args);
-  if (Cmd == "info")
-    return cmdInfo(Args);
-  return usage();
-}
+/// One subcommand: its entry point and every flag it reads. Any other
+/// flag, apart from the global execution and observability ones, is a
+/// typo that would otherwise be silently ignored.
+struct Command {
+  const char *Name;
+  int (*Run)(const ArgParse &);
+  std::vector<std::string> Flags;
+};
+
+const Command Commands[] = {
+    {"train",
+     cmdTrain,
+     {"out", "corpus", "embed", "layers", "heads", "hidden", "steps",
+      "std-layernorm", "robust", "seed"}},
+    {"certify",
+     cmdCertify,
+     {"model", "corpus", "norm", "word", "sentences", "verifier", "eps",
+      "precision", "profile-out", "cert-out", "seed"}},
+    {"synonym", cmdSynonym, {"model", "corpus", "count", "seed"}},
+    {"attack", cmdAttack, {"model", "corpus", "norm", "word", "seed"}},
+    {"batch",
+     cmdBatch,
+     {"model", "jobs", "out", "corpus", "deadline-ms", "max-retries",
+      "resume", "fsync", "profile-out", "recorder-dir", "cert-dir"}},
+    {"metrics", cmdMetrics, {"from"}},
+    {"info", cmdInfo, {"model"}},
+};
+
+const char *const GlobalFlags[] = {"threads", "isa", "trace-out",
+                                   "stats-json"};
 
 /// Writes the metrics registry (plus which command ran and the pool's
 /// thread count) to \p Path.
@@ -813,12 +621,34 @@ bool writeStatsJson(const std::string &Path, const std::string &Cmd) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  GArgc = Argc;
-  GArgv = Argv;
   ArgParse Args(Argc, Argv, {"std-layernorm", "robust", "resume", "fsync"});
   if (Args.positional().empty())
     return usage();
   const std::string &Cmd = Args.positional().front();
+  const Command *C = nullptr;
+  for (const Command &Entry : Commands)
+    if (Cmd == Entry.Name)
+      C = &Entry;
+  if (!C) {
+    support::Error Err(support::ErrorCode::BadArgument, "cli.command",
+                       "unknown command '" + Cmd + "'");
+    std::fprintf(stderr, "error: %s\n", Err.what());
+    return usage();
+  }
+  // Reject misspelled flags before any work (model loads included).
+  std::vector<std::string> Known = C->Flags;
+  Known.insert(Known.end(), std::begin(GlobalFlags), std::end(GlobalFlags));
+  std::vector<std::string> Unknown = Args.unknownFlags(Known);
+  if (!Unknown.empty()) {
+    std::string Names;
+    for (const std::string &Name : Unknown)
+      Names += (Names.empty() ? "--" : ", --") + Name;
+    support::Error Err(support::ErrorCode::BadArgument, "cli.flags",
+                       "unknown flag " + Names + " for " + Cmd +
+                           " (see deept_cli with no arguments)");
+    std::fprintf(stderr, "error: %s\n", Err.what());
+    return support::exitCodeFor(Err.code());
+  }
 
   std::string TraceOut = Args.get("trace-out");
   std::string StatsOut = Args.get("stats-json");
@@ -848,7 +678,7 @@ int main(int Argc, char **Argv) {
 
   int Rc;
   try {
-    Rc = dispatch(Cmd, Args);
+    Rc = C->Run(Args);
   } catch (const std::exception &E) {
     // Uncaught failures still leave with their taxonomy's exit class
     // (5 for anything unclassified) instead of a crash.

@@ -22,11 +22,10 @@
 // document (and satisfy --require-key individually). --schema NAME
 // checks the document shape of the named artifact: "profile" (query,
 // margin_width, checkpoints[], attribution[]), "recorder" (job,
-// events[] with t_ms and kind per event), "certificate" (the proof
+// events[] with t_ms and kind per event) or "certificate" (the proof
 // certificate envelope of verify/Certificate.h; structure only -- the
-// CRC and the interval replay belong to deept_check) or "lease" (the
-// coordination lease file of support/Lease.h). "-" reads a file from
-// stdin.
+// CRC and the interval replay belong to deept_check). "-" reads a file
+// from stdin.
 //
 //===----------------------------------------------------------------------===//
 
@@ -133,28 +132,8 @@ bool checkSchema(const support::JsonValue &Doc, const std::string &Schema,
     }
     return true;
   }
-  if (Schema == "lease") {
-    // Coordination lease file (support/Lease.h): owner identity plus the
-    // heartbeat/created timestamps the staleness logic compares.
-    const support::JsonValue *Owner = nullptr;
-    if (!Need("deept_lease") || !Need("range") || !Need("ranges") ||
-        !Need("owner", &Owner) || !Need("pid") || !Need("created_ms") ||
-        !Need("heartbeat_ms"))
-      return false;
-    if (Owner->K != support::JsonValue::Kind::String) {
-      Why = "\"owner\" must be a string";
-      return false;
-    }
-    for (const char *Key : {"range", "ranges", "pid", "created_ms",
-                            "heartbeat_ms"})
-      if (Doc.find(Key)->K != support::JsonValue::Kind::Number) {
-        Why = std::string("\"") + Key + "\" must be a number";
-        return false;
-      }
-    return true;
-  }
   Why = "unknown schema \"" + Schema +
-        "\" (want profile, recorder, certificate or lease)";
+        "\" (want profile, recorder or certificate)";
   return false;
 }
 
@@ -250,7 +229,7 @@ int main(int Argc, char **Argv) {
   if (Checked == 0) {
     std::fprintf(stderr,
                  "usage: deept_json_validate [--jsonl] [--require-key KEY] "
-                 "[--schema profile|recorder|certificate|lease] FILE|-...\n");
+                 "[--schema profile|recorder|certificate] FILE|-...\n");
     return 2;
   }
   return 0;
