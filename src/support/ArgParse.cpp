@@ -2,9 +2,12 @@
 
 #include "support/ArgParse.h"
 
+#include "support/Error.h"
+
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace deept::support;
@@ -17,20 +20,21 @@ ArgParse::ArgParse(int Argc, const char *const *Argv,
       Positional.push_back(std::move(Arg));
       continue;
     }
-    std::string Name = Arg.substr(2);
-    // --key=value form.
-    auto Eq = Name.find('=');
-    if (Eq != std::string::npos) {
-      Values[Name.substr(0, Eq)] = Name.substr(Eq + 1);
-      continue;
+    std::string Name = Arg.substr(2), Value;
+    size_t Eq = Name.find('=');
+    bool EqForm = Eq != std::string::npos; // --key=value
+    if (EqForm) {
+      Value = Name.substr(Eq + 1);
+      Name.resize(Eq);
     }
     bool IsSwitch =
         std::find(Switches.begin(), Switches.end(), Name) != Switches.end();
-    if (IsSwitch || I + 1 >= Argc || std::string(Argv[I + 1]).rfind("--", 0) == 0) {
-      Values[Name] = "";
-      continue;
-    }
-    Values[Name] = Argv[++I];
+    if (!EqForm && !IsSwitch && I + 1 < Argc &&
+        std::string(Argv[I + 1]).rfind("--", 0) != 0)
+      Value = Argv[++I];
+    if (!IsSwitch && Value.empty())
+      Missing.push_back(Name);
+    Values[Name] = std::move(Value);
   }
 }
 
@@ -44,37 +48,48 @@ std::string ArgParse::get(const std::string &Name,
   return It == Values.end() ? Default : It->second;
 }
 
-long ArgParse::getInt(const std::string &Name, long Default) const {
-  auto It = Values.find(Name);
-  if (It == Values.end() || It->second.empty())
-    return Default;
-  return std::strtol(It->second.c_str(), nullptr, 10);
-}
+namespace {
 
-bool ArgParse::getIntStrict(const std::string &Name, long &Out,
-                            std::string *Err) const {
-  auto It = Values.find(Name);
-  if (It == Values.end())
-    return true;
-  const std::string &Text = It->second;
+/// The one numeric path: \p Parse must consume all of a non-empty value
+/// that does not start with whitespace, without overflowing.
+template <typename T, typename ParseFn>
+T parseValue(const std::string &Name, const std::string &Text,
+             const char *What, ParseFn Parse) {
   char *End = nullptr;
   errno = 0;
-  long V = std::strtol(Text.c_str(), &End, 10);
-  if (Text.empty() || std::isspace(Text[0]) ||
-      End != Text.c_str() + Text.size() || errno == ERANGE) {
-    if (Err)
-      *Err = "--" + Name + " expects an integer, got '" + Text + "'";
-    return false;
-  }
-  Out = V;
-  return true;
+  T V = Parse(Text.c_str(), &End);
+  if (Text.empty() || std::isspace(static_cast<unsigned char>(Text[0])) ||
+      End != Text.c_str() + Text.size() || errno == ERANGE)
+    throw Error(ErrorCode::BadArgument, "cli.flags",
+                "--" + Name + " expects " + What + ", got '" + Text + "'");
+  return V;
+}
+
+} // namespace
+
+long ArgParse::getInt(const std::string &Name, long Default) const {
+  auto It = Values.find(Name);
+  if (It == Values.end())
+    return Default;
+  return parseValue<long>(Name, It->second, "an integer",
+                          [](const char *S, char **End) {
+                            return std::strtol(S, End, 10);
+                          });
 }
 
 double ArgParse::getDouble(const std::string &Name, double Default) const {
   auto It = Values.find(Name);
-  if (It == Values.end() || It->second.empty())
+  if (It == Values.end())
     return Default;
-  return std::strtod(It->second.c_str(), nullptr);
+  double V = parseValue<double>(Name, It->second, "a number",
+                                [](const char *S, char **End) {
+                                  return std::strtod(S, End);
+                                });
+  if (!std::isfinite(V))
+    throw Error(ErrorCode::BadArgument, "cli.flags",
+                "--" + Name + " expects a finite number, got '" +
+                    It->second + "'");
+  return V;
 }
 
 std::vector<std::string>

@@ -16,11 +16,9 @@
 ///   if (DEEPT_FAULT_IO_FAIL("store.write")) ...   // simulate short IO
 ///   DEEPT_FAULT_CORRUPT("verify.propagate", Ptr, N); // poison doubles
 ///
-/// Sites compile to no-ops (zero code, zero branches) unless the build
-/// enables DEEPT_FAULT_INJECT (a CMake option, ON by default -- every
-/// site lives on a cold path, so an armed-check costs one relaxed atomic
-/// load; production builds that want provably-zero overhead configure
-/// with -DDEEPT_FAULT_INJECT=OFF).
+/// Every site is always compiled in. Each lives on a cold path (the
+/// hottest, `verify.propagate`, runs once per propagation), and an
+/// unarmed site only checks the arming state.
 ///
 /// Faults are armed by a spec string -- programmatically via fault::arm()
 /// or from the DEEPT_FAULTS environment variable, read once on first site
@@ -79,7 +77,6 @@ void corrupt(const char *Site, double *Data, size_t N);
 } // namespace support
 } // namespace deept
 
-#ifdef DEEPT_FAULT_INJECT
 /// May throw std::bad_alloc / support::Error or sleep, per the armed spec.
 #define DEEPT_FAULT_POINT(Site) ::deept::support::fault::point(Site)
 /// True when the armed spec says this IO operation should fail short.
@@ -87,10 +84,5 @@ void corrupt(const char *Site, double *Data, size_t N);
 /// Overwrites an element of [Data, Data+N) with NaN/Inf per the spec.
 #define DEEPT_FAULT_CORRUPT(Site, Data, N)                                   \
   ::deept::support::fault::corrupt(Site, Data, N)
-#else
-#define DEEPT_FAULT_POINT(Site) ((void)0)
-#define DEEPT_FAULT_IO_FAIL(Site) false
-#define DEEPT_FAULT_CORRUPT(Site, Data, N) ((void)0)
-#endif
 
 #endif // DEEPT_SUPPORT_FAULT_H

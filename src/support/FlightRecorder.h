@@ -15,7 +15,7 @@
 ///
 /// Events carry a monotonic timestamp relative to the recorder's
 /// creation, a short machine-readable kind ("checkpoint", "degrade",
-/// "deadline", "warm_start", "fault", "cancel", ...), a free-form detail
+/// "deadline", "fault", "retry", ...), a free-form detail
 /// string, and up to three numeric payload slots whose meaning is
 /// per-kind (documented in DESIGN.md "Precision observability").
 ///

@@ -3,7 +3,6 @@
 #include "support/Metrics.h"
 
 #include "support/Json.h"
-#include "support/Table.h"
 
 #include <algorithm>
 #include <cmath>
@@ -140,14 +139,6 @@ std::map<std::string, double> Metrics::counterSnapshot() const {
   return Out;
 }
 
-std::map<std::string, double> Metrics::gaugeSnapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::map<std::string, double> Out;
-  for (const auto &[Name, G] : Gauges)
-    Out[Name] = G->value();
-  return Out;
-}
-
 std::map<std::string, Histogram::Stats> Metrics::histogramSnapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
   std::map<std::string, Histogram::Stats> Out;
@@ -191,20 +182,4 @@ std::string Metrics::toJson() const {
   }
   Out += "}}";
   return Out;
-}
-
-std::string Metrics::summaryTable() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Table T({"metric", "kind", "value / count,mean,max"});
-  for (const auto &[Name, C] : Counters)
-    T.addRow({Name, "counter", formatFixed(C->value(), 0)});
-  for (const auto &[Name, G] : Gauges)
-    T.addRow({Name, "gauge", formatFixed(G->value(), 0)});
-  for (const auto &[Name, H] : Histograms) {
-    Histogram::Stats S = H->stats();
-    T.addRow({Name, "histogram",
-              std::to_string(S.Count) + "," + formatFixed(S.mean(), 2) + "," +
-                  formatFixed(S.Max, 2)});
-  }
-  return T.render();
 }

@@ -90,7 +90,7 @@ public:
     double Max = 0.0;
     /// Nearest-rank quantiles over the retained sample. An empty
     /// histogram reports exactly 0 for all of these (never NaN), so the
-    /// JSON / Prometheus emitters always have a finite number to print.
+    /// JSON emitter always has a finite number to print.
     double P50 = 0.0;
     double P90 = 0.0;
     double P99 = 0.0;
@@ -136,11 +136,9 @@ public:
   /// all cached references) valid. Scopes the registry to one run.
   void reset();
 
-  /// Sorted name -> value snapshots of the registry, the enumeration
-  /// surface the exporters (Metrics JSON, Prometheus text) build on.
-  /// std::map keys keep the output ordering deterministic.
+  /// Sorted name -> value snapshots of the registry (perfbench reads
+  /// them). std::map keys keep the output ordering deterministic.
   std::map<std::string, double> counterSnapshot() const;
-  std::map<std::string, double> gaugeSnapshot() const;
   std::map<std::string, Histogram::Stats> histogramSnapshot() const;
 
   /// The whole registry as a JSON object:
@@ -148,9 +146,6 @@ public:
   ///    "histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,
   ///                          "mean":..,"p50":..,"p90":..,"p99":..}}}
   std::string toJson() const;
-
-  /// Human-readable dump (one aligned table per instrument kind).
-  std::string summaryTable() const;
 
 private:
   mutable std::mutex Mu;

@@ -88,18 +88,6 @@ std::string normToken(double P) {
   return S.str();
 }
 
-bool parseNormToken(const std::string &Name, double &Out) {
-  if (Name == "l1")
-    Out = 1.0;
-  else if (Name == "l2")
-    Out = 2.0;
-  else if (Name == "linf")
-    Out = Matrix::InfNorm;
-  else
-    return false;
-  return true;
-}
-
 /// Job keys become file names for recorder artifacts; anything outside
 /// the derived-key alphabet (explicit Ids are free-form) maps to '_'.
 std::string fileSafe(const std::string &Key) {
@@ -129,6 +117,18 @@ const char *deept::verify::jobMethodName(JobMethod M) {
     return "crown-backward";
   }
   return "fast";
+}
+
+bool deept::verify::parseNormName(const std::string &Name, double &Out) {
+  if (Name == "l1")
+    Out = 1.0;
+  else if (Name == "l2")
+    Out = 2.0;
+  else if (Name == "linf")
+    Out = Matrix::InfNorm;
+  else
+    return false;
+  return true;
 }
 
 bool deept::verify::parseJobMethod(const std::string &Name, JobMethod &Out) {
@@ -218,7 +218,7 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
       S.Word = static_cast<size_t>(V->NumberVal);
     if (const support::JsonValue *V = J.find("norm")) {
       if (V->K != support::JsonValue::Kind::String ||
-          !parseNormToken(V->StringVal, S.P))
+          !parseNormName(V->StringVal, S.P))
         return Fail(Where + ": \"norm\" must be \"l1\", \"l2\" or \"linf\"");
     }
     if (const support::JsonValue *V = J.find("eps")) {
@@ -283,10 +283,7 @@ std::string Scheduler::jobKey(const JobSpec &Spec) {
   if (!Spec.Id.empty())
     return Spec.Id;
   // FNV-1a over the query contents (not the deadline: re-running a batch
-  // under new latency constraints must still skip completed work). The
-  // warm-start InitRadius hint is likewise excluded -- the digest hashes
-  // the spec's own search options only, so the key of a job is identical
-  // whether the batch runs cold or warm and Resume skips the same set.
+  // under new latency constraints must still skip completed work).
   uint64_t H = 1469598103934665603ull;
   auto Mix = [&H](uint64_t V) {
     H ^= V;
@@ -379,9 +376,9 @@ Scheduler::RecordCrc Scheduler::checkRecordCrc(const std::string &Line) {
 
 namespace {
 
-/// Shared store-line screening for completedKeys / recoverStore: a record
-/// whose per-record CRC mismatches is an interior bit-flip -- warn, count,
-/// and pretend the key is absent so only that job re-runs.
+/// Store-line screening for recoverStore: a record whose per-record CRC
+/// mismatches is an interior bit-flip -- warn, count, and pretend the key
+/// is absent so only that job re-runs.
 bool storeLineKey(const std::string &Line, const std::string &Path,
                   std::string &Key) {
   support::JsonValue Doc;
@@ -406,22 +403,6 @@ bool storeLineKey(const std::string &Line, const std::string &Path,
 
 } // namespace
 
-std::set<std::string> Scheduler::completedKeys(const std::string &Path) {
-  std::set<std::string> Keys;
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return Keys;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    std::string Key;
-    if (storeLineKey(Line, Path, Key))
-      Keys.insert(Key);
-  }
-  return Keys;
-}
-
 std::set<std::string> Scheduler::recoverStore(const std::string &Path,
                                               support::Error *Err) {
   std::set<std::string> Keys;
@@ -443,7 +424,7 @@ std::set<std::string> Scheduler::recoverStore(const std::string &Path,
   // Walk the newline-framed records tracking where each starts, so a torn
   // tail (crash mid-append: missing newline, or a final line that is not
   // valid JSON) can be cut at a byte offset. Interior malformed lines are
-  // tolerated exactly as completedKeys tolerates them.
+  // skipped.
   uint64_t KeepBytes = 0; // end of the last intact record
   size_t Pos = 0;
   while (Pos < Contents.size()) {
@@ -484,15 +465,8 @@ std::set<std::string> Scheduler::recoverStore(const std::string &Path,
 // Execution
 //===----------------------------------------------------------------------===//
 
-std::map<std::pair<JobMethod, double>, double>
-Scheduler::warmStartHints() const {
-  std::lock_guard<std::mutex> Lock(WarmMu);
-  return WarmRadii;
-}
-
 void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
                            int64_t DeadlineMs, JobResult &R,
-                           const WarmMap &Warm,
                            support::FlightRecorder *Rec,
                            PrecisionProfile *Prof,
                            CertificateData *Cert) const {
@@ -576,23 +550,8 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
 
   R.MethodUsed = Method;
   if (Spec.SearchRadius) {
-    static support::Counter &WarmStarts =
-        support::Metrics::global().counter("sched.warm_start_hints");
-    // Warm start: seed the first probe from the last certified radius of
-    // the same (method, norm) family. Only the probe sequence changes;
-    // the spec (and hence the job key) is untouched.
-    RadiusSearchOptions Search = Spec.Search;
-    auto Hint = Warm.find({Method, Spec.P});
-    if (Hint != Warm.end() && Hint->second > 0.0) {
-      Search.InitRadius =
-          std::min(std::max(Hint->second, Search.MinRadius),
-                   Search.MaxRadius);
-      WarmStarts.add(1);
-      if (Rec)
-        Rec->record("warm_start", normToken(Spec.P), Search.InitRadius);
-    }
     R.Radius = certifiedRadius(
-        [&](double Radius) { return MarginAt(Radius) > 0.0; }, Search);
+        [&](double Radius) { return MarginAt(Radius) > 0.0; }, Spec.Search);
     R.Certified = R.Radius > 0.0;
   } else {
     R.Margin = MarginAt(Spec.Epsilon);
@@ -601,7 +560,6 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
 }
 
 void Scheduler::executeWithDegradation(const JobSpec &Spec, JobResult &R,
-                                       const WarmMap &Warm,
                                        support::FlightRecorder *Rec,
                                        PrecisionProfile *Prof,
                                        CertificateData *Cert) const {
@@ -647,7 +605,7 @@ void Scheduler::executeWithDegradation(const JobSpec &Spec, JobResult &R,
       // snapshot (the degraded method's own probes refill it).
       if (Cert)
         *Cert = CertificateData();
-      executeOne(Spec, Method, DeadlineMs, R, Warm, Rec, Prof, Cert);
+      executeOne(Spec, Method, DeadlineMs, R, Rec, Prof, Cert);
       if (Rec) {
         uint64_t Faults = support::fault::injectedCount() - FaultsBefore;
         if (Faults > 0)
@@ -749,14 +707,6 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
 
   size_t N = Queue.size();
   std::vector<JobResult> Results(N);
-  // One snapshot of the warm-start hints for the whole batch: every job
-  // sees the same table no matter how the pool interleaves them, keeping
-  // search results independent of the thread count.
-  WarmMap Warm;
-  {
-    std::lock_guard<std::mutex> Lock(WarmMu);
-    Warm = WarmRadii;
-  }
   support::Timer BatchTimer;
   support::parallelFor(0, N, 1, [&](size_t Begin, size_t End) {
     for (size_t I = Begin; I < End; ++I) {
@@ -777,7 +727,7 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
       QueueLatencyMs.observe(R.QueueMs);
       std::optional<support::FlightRecorder> Rec;
       if (!Opts.RecorderDir.empty())
-        Rec.emplace(Opts.RecorderCapacity);
+        Rec.emplace();
       std::optional<PrecisionProfile> Prof;
       if (ProfileStore.isOpen()) {
         Prof.emplace();
@@ -789,7 +739,7 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
       if (!Opts.CertDir.empty())
         Cert.emplace();
       support::Timer JobTimer;
-      executeWithDegradation(Spec, R, Warm, Rec ? &*Rec : nullptr,
+      executeWithDegradation(Spec, R, Rec ? &*Rec : nullptr,
                              Prof ? &*Prof : nullptr,
                              Cert ? &*Cert : nullptr);
       R.Seconds = JobTimer.seconds();
@@ -868,18 +818,5 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
       }
     }
   });
-  // Fold the batch's certified radii back into the hint table in queue
-  // order (deterministic: later jobs of the queue win ties, independent
-  // of which worker finished first).
-  {
-    std::lock_guard<std::mutex> Lock(WarmMu);
-    for (size_t I = 0; I < N; ++I) {
-      const JobSpec &Spec = Queue.spec(I);
-      const JobResult &R = Results[I];
-      if (Spec.SearchRadius && R.Certified && R.Radius > 0.0 &&
-          (R.Status == JobStatus::Ok || R.Status == JobStatus::Degraded))
-        WarmRadii[{R.MethodUsed, Spec.P}] = R.Radius;
-    }
-  }
   return Results;
 }

@@ -37,8 +37,6 @@
 #include "verify/RadiusSearch.h"
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -63,6 +61,9 @@ const char *jobMethodName(JobMethod M);
 /// Parses "fast" / "precise" / "combined" / "crown-baf" /
 /// "crown-backward" (the CLI --verifier vocabulary).
 bool parseJobMethod(const std::string &Name, JobMethod &Out);
+/// Parses "l1" / "l2" / "linf" (the --norm and jobs-file `norm`
+/// vocabulary) into an lp exponent (tensor::Matrix::InfNorm for linf).
+bool parseNormName(const std::string &Name, double &Out);
 
 /// One certification query: the lp region of radius Epsilon around word
 /// position Word of a token sequence, certified with Method.
@@ -191,8 +192,6 @@ struct SchedulerOptions {
   /// "<RecorderDir>/recorder-<key>.json" when the job ends in error or
   /// hit its deadline, and discarded on clean success. Empty disables.
   std::string RecorderDir;
-  /// Event capacity of each job's ring buffer.
-  size_t RecorderCapacity = 256;
   /// Proof-certificate directory: every DeepT job whose final probe
   /// certified writes a replayable certificate artifact
   /// (verify/Certificate.h) to "<CertDir>/cert-<key>.json" -- search
@@ -216,18 +215,9 @@ struct SchedulerOptions {
 };
 
 /// The batch driver. One instance serves one model; run() may be called
-/// repeatedly (each call is one batch).
-///
-/// Warm-started radius search: the scheduler remembers the last certified
-/// radius per (method, norm) pair across run() calls and seeds
-/// RadiusSearchOptions::InitRadius of later search jobs from it, so a
-/// follow-up batch starts probing near the answer instead of at the
-/// spec's default. Determinism: the hint table is snapshotted once at the
-/// start of each run(), so every job of a batch sees the same hints
-/// regardless of thread count or completion order, and the table is
-/// updated from the finished batch in queue order. The hint never enters
-/// jobKey (the JSONL digest hashes only the spec's own search options),
-/// so a warm-started batch skips resumed jobs exactly as a cold one does.
+/// repeatedly, and each call is one independent batch: no state carries
+/// from one run() to the next, so a job's result depends only on its
+/// spec.
 class Scheduler {
 public:
   explicit Scheduler(const nn::TransformerModel &Model,
@@ -265,44 +255,27 @@ public:
   enum class RecordCrc { Ok, Missing, Mismatch };
   static RecordCrc checkRecordCrc(const std::string &Line);
 
-  /// Keys of the results already present in a JSONL store; empty when
-  /// the file does not exist. Malformed lines (e.g. a crash-truncated
-  /// tail) and records whose per-record CRC mismatches (an interior
-  /// bit-flip) are ignored, so the affected job re-runs.
-  static std::set<std::string> completedKeys(const std::string &Path);
-
-  /// Crash recovery for a JSONL store: a torn trailing record (a line
-  /// without its newline, or an unparseable final line -- the footprint
-  /// of a crash mid-append) is truncated away so its job simply re-runs,
-  /// and the remaining completed keys are returned. Interior malformed
-  /// lines are tolerated (ignored) as completedKeys does. Resume runs
-  /// this instead of completedKeys.
+  /// The store reader, with crash recovery: the keys of the results
+  /// already present in a JSONL store (empty when the file does not
+  /// exist). A torn trailing record (a line without its newline, or an
+  /// unparseable final line -- the footprint of a crash mid-append) is
+  /// truncated away so its job simply re-runs. Interior malformed lines
+  /// and records whose per-record CRC mismatches (an interior bit-flip)
+  /// are ignored, so the affected job re-runs.
   static std::set<std::string> recoverStore(const std::string &Path,
                                             support::Error *Err = nullptr);
 
-  /// The warm-start hint table: (method, lp norm) -> last certified
-  /// radius. Exposed for tests and diagnostics; a copy, not a reference.
-  std::map<std::pair<JobMethod, double>, double> warmStartHints() const;
-
 private:
-  using WarmMap = std::map<std::pair<JobMethod, double>, double>;
-
   void executeWithDegradation(const JobSpec &Spec, JobResult &R,
-                              const WarmMap &Warm,
                               support::FlightRecorder *Rec,
                               PrecisionProfile *Prof,
                               CertificateData *Cert) const;
   void executeOne(const JobSpec &Spec, JobMethod Method, int64_t DeadlineMs,
-                  JobResult &R, const WarmMap &Warm,
-                  support::FlightRecorder *Rec, PrecisionProfile *Prof,
-                  CertificateData *Cert) const;
+                  JobResult &R, support::FlightRecorder *Rec,
+                  PrecisionProfile *Prof, CertificateData *Cert) const;
 
   const nn::TransformerModel &Model;
   SchedulerOptions Opts;
-  /// Last certified radius per (method, norm); written after each batch,
-  /// snapshotted at the start of the next (see the class comment).
-  mutable WarmMap WarmRadii;
-  mutable std::mutex WarmMu;
 };
 
 } // namespace verify

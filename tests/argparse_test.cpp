@@ -1,6 +1,7 @@
 //===- tests/argparse_test.cpp ---------------------------------*- C++ -*-===//
 
 #include "support/ArgParse.h"
+#include "support/Error.h"
 #include "support/Parallel.h"
 
 #include <gtest/gtest.h>
@@ -46,12 +47,24 @@ TEST(ArgParse, FlagBeforeAnotherFlagActsAsSwitch) {
   EXPECT_TRUE(A.has("verbose"));
   EXPECT_EQ(A.get("verbose"), "");
   EXPECT_EQ(A.get("out"), "x");
+  // --verbose is not a declared switch, so it is a flag missing its value.
+  EXPECT_EQ(A.missingValues(), std::vector<std::string>{"verbose"});
 }
 
 TEST(ArgParse, TrailingFlagWithoutValue) {
   ArgParse A = parse({"prog", "--flag"});
   EXPECT_TRUE(A.has("flag"));
   EXPECT_EQ(A.get("flag", "d"), "");
+  EXPECT_EQ(A.missingValues(), std::vector<std::string>{"flag"});
+  // A declared switch never misses a value, in either position.
+  EXPECT_TRUE(parse({"prog", "--fsync"}, {"fsync"}).missingValues().empty());
+  EXPECT_TRUE(parse({"prog", "--fsync", "--out", "x"}, {"fsync"})
+                  .missingValues()
+                  .empty());
+  // `--key=` spells an empty value, which is as missing as no value.
+  EXPECT_EQ(parse({"prog", "--cert-dir="}).missingValues(),
+            std::vector<std::string>{"cert-dir"});
+  EXPECT_TRUE(parse({"prog", "--out", "x"}).missingValues().empty());
 }
 
 TEST(ArgParse, IntAndDoubleDefaults) {
@@ -70,28 +83,52 @@ TEST(ArgParse, UnknownFlagDetection) {
 }
 
 TEST(ArgParse, GetIntStrictAcceptsWellFormedIntegers) {
-  ArgParse A = parse({"prog", "--deadline-ms", "250", "--neg", "-3"});
-  long Out = 7;
-  std::string Err;
-  EXPECT_TRUE(A.getIntStrict("deadline-ms", Out, &Err));
-  EXPECT_EQ(Out, 250);
-  EXPECT_TRUE(A.getIntStrict("neg", Out, &Err));
-  EXPECT_EQ(Out, -3);
-  // Absent flags succeed without touching the output.
-  Out = 42;
-  EXPECT_TRUE(A.getIntStrict("absent", Out, &Err));
-  EXPECT_EQ(Out, 42);
+  ArgParse A = parse({"prog", "--deadline-ms", "250", "--neg", "-3",
+                      "--eps", "-0.5", "--exp", "1e-3"});
+  EXPECT_EQ(A.getInt("deadline-ms", 7), 250);
+  EXPECT_EQ(A.getInt("neg", 7), -3);
+  EXPECT_DOUBLE_EQ(A.getDouble("eps", 0.0), -0.5);
+  EXPECT_DOUBLE_EQ(A.getDouble("exp", 0.0), 1e-3);
+  // Absent flags return the default.
+  EXPECT_EQ(A.getInt("absent", 42), 42);
 }
+
+namespace {
+
+/// The BadArgument message getInt / getDouble throw for \p Name, or ""
+/// when they do not throw.
+std::string numericError(const ArgParse &A, const char *Name, bool Int) {
+  try {
+    if (Int)
+      A.getInt(Name, 0);
+    else
+      A.getDouble(Name, 0.0);
+  } catch (const Error &E) {
+    EXPECT_EQ(E.code(), ErrorCode::BadArgument);
+    return E.what();
+  }
+  return "";
+}
+
+} // namespace
 
 TEST(ArgParse, GetIntStrictRejectsMalformedValues) {
   ArgParse A = parse({"prog", "--a", "12x", "--b", "abc", "--c", "1.5",
-                      "--d", ""});
-  long Out = 0;
-  for (const char *Name : {"a", "b", "c", "d"}) {
-    std::string Err;
-    EXPECT_FALSE(A.getIntStrict(Name, Out, &Err)) << Name;
-    EXPECT_NE(Err.find("expects an integer"), std::string::npos) << Err;
-  }
+                      "--d", "", "--e", " 4", "--f",
+                      "99999999999999999999999", "--trailing"});
+  for (const char *Name : {"a", "b", "c", "d", "e", "f", "trailing"})
+    EXPECT_NE(numericError(A, Name, true).find("expects an integer"),
+              std::string::npos)
+        << Name;
+  // The same strict path parses doubles, and rejects non-finite values.
+  ArgParse D = parse({"prog", "--a", "0.5x", "--b", "abc", "--c", "nan",
+                      "--d", "inf", "--e", "", "--trailing"});
+  for (const char *Name : {"a", "b", "c", "d", "e", "trailing"})
+    EXPECT_NE(numericError(D, Name, false).find("--"), std::string::npos)
+        << Name;
+  EXPECT_NE(numericError(D, "b", false).find("--b expects a number, got "
+                                             "'abc'"),
+            std::string::npos);
 }
 
 TEST(ThreadCount, ParseAcceptsPositiveIntegers) {

@@ -403,7 +403,6 @@ TEST(CertificateScheduler, CertDirHoldsReplayableArtifacts) {
   ::rmdir(Dir.Path.c_str());
 }
 
-#ifdef DEEPT_FAULT_INJECT
 TEST(CertificateScheduler, CertWriteFaultKeepsBatchRunning) {
   TinySetup S;
   TempDir Dir(::testing::TempDir() + "cert_fault_dir");
@@ -438,4 +437,3 @@ TEST(CertificateScheduler, CertWriteFaultKeepsBatchRunning) {
   std::remove((Dir.Path + "/cert-fault-b.json").c_str());
   ::rmdir(Dir.Path.c_str());
 }
-#endif

@@ -106,16 +106,6 @@ std::string readFileBytes(const std::string &Path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The macro-compiled sites are only present with DEEPT_FAULT_INJECT;
-/// drills through them skip on a bare build.
-bool sitesCompiledIn() {
-#ifdef DEEPT_FAULT_INJECT
-  return true;
-#else
-  return false;
-#endif
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -228,8 +218,6 @@ TEST(Fault, CorruptPoisonsMiddleElement) {
 //===----------------------------------------------------------------------===//
 
 TEST(Fault, ShortReadFailsModelLoadTyped) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   TempFile File(::testing::TempDir() + "/fault_load.dptm");
   ASSERT_TRUE(nn::saveModel(File.path(), S.Model));
@@ -247,8 +235,6 @@ TEST(Fault, ShortReadFailsModelLoadTyped) {
 }
 
 TEST(Fault, PayloadCorruptionCaughtByFinitenessCheck) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   TempFile File(::testing::TempDir() + "/fault_payload.dptm");
   ASSERT_TRUE(nn::saveModel(File.path(), S.Model));
@@ -261,8 +247,6 @@ TEST(Fault, PayloadCorruptionCaughtByFinitenessCheck) {
 }
 
 TEST(Fault, WriteFaultLeavesExistingFileIntact) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   TempFile File(::testing::TempDir() + "/fault_save.dptm");
   ASSERT_TRUE(nn::saveModel(File.path(), S.Model));
@@ -275,8 +259,6 @@ TEST(Fault, WriteFaultLeavesExistingFileIntact) {
 }
 
 TEST(Fault, UnsoundPropagationIsNeverCertified) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   // Poison every propagation: the soundness validator must turn each one
   // into a structured unsound_abstraction error, never a certified
@@ -315,8 +297,6 @@ TEST(Fault, UnsoundPropagationIsNeverCertified) {
 }
 
 TEST(Fault, AllocFaultDegradesPreciseToFast) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   ScopedFaults F("sched.execute:1:alloc");
   JobQueue Q;
@@ -331,8 +311,6 @@ TEST(Fault, AllocFaultDegradesPreciseToFast) {
 }
 
 TEST(Fault, AllocFaultOnFastIsOutOfMemoryError) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   ScopedFaults F("sched.execute:1:alloc");
   JobQueue Q;
@@ -344,8 +322,6 @@ TEST(Fault, AllocFaultOnFastIsOutOfMemoryError) {
 }
 
 TEST(Fault, InjectedFailureIsTypedInStore) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   TempFile Store("fault_test_store.jsonl");
   ScopedFaults F("sched.execute:1:fail");
@@ -363,8 +339,6 @@ TEST(Fault, InjectedFailureIsTypedInStore) {
 }
 
 TEST(Fault, StoreWriteFailureKeepsBatchRunning) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "built with DEEPT_FAULT_INJECT=OFF";
   TinySetup S;
   TempFile Store("fault_test_broken_store.jsonl");
   // Every append fails short: the batch must warn, keep computing, and
@@ -381,5 +355,5 @@ TEST(Fault, StoreWriteFailureKeepsBatchRunning) {
   EXPECT_EQ(R[0].Status, JobStatus::Ok);
   EXPECT_EQ(R[1].Status, JobStatus::Ok);
   // Nothing durable landed in the broken store.
-  EXPECT_TRUE(Scheduler::completedKeys(Store.path()).empty());
+  EXPECT_TRUE(Scheduler::recoverStore(Store.path()).empty());
 }

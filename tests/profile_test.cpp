@@ -450,7 +450,6 @@ TEST(SchedulerObservability, RecorderDumpsOnDeadlineAndProfilesStream) {
   SO.JsonlPath = Store.path();
   SO.ProfileJsonlPath = Profiles.path();
   SO.RecorderDir = RecDir;
-  SO.RecorderCapacity = 64;
   Scheduler Sched(S.Model, SO);
   std::vector<JobResult> Results = Sched.run(Q);
 

@@ -56,16 +56,6 @@ public:
   ~ScopedFaults() { fault::disarm(); }
 };
 
-/// The macro-compiled sites are only present with DEEPT_FAULT_INJECT;
-/// retry drills through `sched.execute` skip on a bare build.
-bool sitesCompiledIn() {
-#ifdef DEEPT_FAULT_INJECT
-  return true;
-#else
-  return false;
-#endif
-}
-
 /// Deletes a temp file on scope exit.
 class TempFile {
 public:
@@ -211,7 +201,7 @@ TEST(Scheduler, MixedBatchTagsAndDegradation) {
   EXPECT_EQ(R[8].MethodUsed, JobMethod::CrownBaF);
 
   // Every job (including errors) landed in the store as valid JSON.
-  auto Keys = Scheduler::completedKeys(Store.path());
+  auto Keys = Scheduler::recoverStore(Store.path());
   EXPECT_EQ(Keys.size(), 9u);
   std::ifstream In(Store.path());
   std::string Line;
@@ -254,7 +244,7 @@ TEST(Scheduler, ResumeSkipsCompletedJobs) {
   EXPECT_EQ(Second[1].Status, JobStatus::Skipped);
   EXPECT_EQ(Second[2].Status, JobStatus::Skipped);
   EXPECT_EQ(Second[3].Status, JobStatus::Ok);
-  EXPECT_EQ(Scheduler::completedKeys(Store.path()).size(), 4u);
+  EXPECT_EQ(Scheduler::recoverStore(Store.path()).size(), 4u);
 
   // A changed deadline must not change the key (resume under new latency
   // constraints still skips completed work).
@@ -434,7 +424,7 @@ TEST(Scheduler, ResumeReRunsTornTrailingJob) {
   EXPECT_EQ(Second[2].Margin, First[2].Margin);
 
   // The repaired store is fully parseable again with all three keys.
-  auto Keys = Scheduler::completedKeys(Store.path());
+  auto Keys = Scheduler::recoverStore(Store.path());
   EXPECT_EQ(Keys.size(), 3u);
   EXPECT_EQ(Keys.count("c"), 1u);
   std::ifstream In(Store.path());
@@ -445,48 +435,7 @@ TEST(Scheduler, ResumeReRunsTornTrailingJob) {
   }
 }
 
-TEST(Scheduler, WarmStartSeedsLaterBatchesAndKeepsKeysStable) {
-  TinySetup S;
-  JobSpec Search = S.job(JobMethod::Fast);
-  Search.SearchRadius = true;
-  Search.Search.InitRadius = 0.05;
-  Search.Search.BisectSteps = 3;
-  Search.Search.MaxRadius = 8.0;
-  JobQueue Q;
-  Q.push(Search);
-
-  Scheduler Sched(S.Model);
-  EXPECT_TRUE(Sched.warmStartHints().empty());
-  std::vector<JobResult> First = Sched.run(Q);
-  ASSERT_EQ(First.size(), 1u);
-  ASSERT_EQ(First[0].Status, JobStatus::Ok);
-  ASSERT_GT(First[0].Radius, 0.0);
-
-  // The certified radius is recorded for (method, norm).
-  auto Hints = Sched.warmStartHints();
-  auto It = Hints.find({JobMethod::Fast, 2.0});
-  ASSERT_NE(It, Hints.end());
-  EXPECT_EQ(It->second, First[0].Radius);
-
-  // A warm second batch probes the hint first (fewer probes than cold),
-  // still certifies, and derives the exact same store key -- the hint is
-  // not part of the digest.
-  double ColdProbes =
-      support::Metrics::global().counterValue("verify.radius_search.probes");
-  std::vector<JobResult> Second = Sched.run(Q);
-  ASSERT_EQ(Second.size(), 1u);
-  EXPECT_EQ(Second[0].Status, JobStatus::Ok);
-  EXPECT_GT(Second[0].Radius, 0.0);
-  EXPECT_EQ(Second[0].Key, First[0].Key);
-  double WarmProbes =
-      support::Metrics::global().counterValue("verify.radius_search.probes") -
-      ColdProbes;
-  EXPECT_GT(WarmProbes, 0.0);
-  EXPECT_GT(
-      support::Metrics::global().counterValue("sched.warm_start_hints"), 0.0);
-}
-
-TEST(Scheduler, WarmStartedBatchBitIdenticalAcrossThreadCounts) {
+TEST(Scheduler, SearchBatchBitIdenticalAcrossThreadCounts) {
   TinySetup S;
   JobQueue Q;
   for (double Init : {0.05, 0.02, 0.08}) {
@@ -498,15 +447,12 @@ TEST(Scheduler, WarmStartedBatchBitIdenticalAcrossThreadCounts) {
     Q.push(Search);
   }
 
-  // Warm each scheduler identically, then run the batch again under
-  // different thread counts: the hint snapshot is taken at run() start,
-  // so the searched radii must agree bit-for-bit.
+  // One batch of radius searches per thread count: the searched radii
+  // must agree bit-for-bit however the pool interleaves the jobs.
   std::vector<std::vector<double>> PerThreadRadii;
   for (size_t Threads : {1u, 2u, 8u}) {
     ScopedThreads T(Threads);
-    Scheduler Sched(S.Model);
-    Sched.run(Q); // cold batch populates the hints
-    std::vector<JobResult> R = Sched.run(Q);
+    std::vector<JobResult> R = Scheduler(S.Model).run(Q);
     std::vector<double> Radii;
     for (const JobResult &J : R) {
       EXPECT_EQ(J.Status, JobStatus::Ok);
@@ -529,7 +475,7 @@ TEST(Scheduler, FsyncedStoreIsWellFormed) {
   std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
   ASSERT_EQ(R.size(), 1u);
   EXPECT_EQ(R[0].Status, JobStatus::Ok);
-  EXPECT_EQ(Scheduler::completedKeys(Store.path()).size(), 1u);
+  EXPECT_EQ(Scheduler::recoverStore(Store.path()).size(), 1u);
 }
 
 TEST(Scheduler, OverLongJobIsInvalidNotFatal) {
@@ -618,7 +564,7 @@ TEST(Scheduler, ResumeReRunsOnlyCrcCorruptedRecord) {
             DroppedBefore);
 
   // The store ends with a fresh, CRC-valid record for "b".
-  auto Keys = Scheduler::completedKeys(Store.path());
+  auto Keys = Scheduler::recoverStore(Store.path());
   EXPECT_EQ(Keys.size(), 3u);
   EXPECT_EQ(Keys.count("b"), 1u);
 }
@@ -628,8 +574,6 @@ TEST(Scheduler, ResumeReRunsOnlyCrcCorruptedRecord) {
 //===----------------------------------------------------------------------===//
 
 TEST(Scheduler, TransientFaultIsRetriedAndSucceeds) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "fault sites compiled out";
   TinySetup S;
   ScopedFaults F("sched.execute:1:fail");
 
@@ -659,8 +603,6 @@ TEST(Scheduler, TransientFaultIsRetriedAndSucceeds) {
 }
 
 TEST(Scheduler, RetryExhaustionIsATypedErrorThatNeverBlocksTheBatch) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "fault sites compiled out";
   TinySetup S;
   TempFile Store("scheduler_test_exhaust.jsonl");
   ScopedFaults F("sched.execute:0:fail"); // every attempt fails
@@ -689,7 +631,7 @@ TEST(Scheduler, RetryExhaustionIsATypedErrorThatNeverBlocksTheBatch) {
       support::Metrics::global().histogramStats("sched.retry_backoff_ms").Sum,
       BackoffBefore + 2 * (1 + 2 + 2));
   // Both failures landed in the store as typed records.
-  EXPECT_EQ(Scheduler::completedKeys(Store.path()).size(), 2u);
+  EXPECT_EQ(Scheduler::recoverStore(Store.path()).size(), 2u);
 }
 
 TEST(Scheduler, PermanentErrorsAreNeverRetried) {
@@ -714,8 +656,6 @@ TEST(Scheduler, PermanentErrorsAreNeverRetried) {
 }
 
 TEST(Scheduler, OutOfMemoryDegradesBeforeRetrying) {
-  if (!sitesCompiledIn())
-    GTEST_SKIP() << "fault sites compiled out";
   TinySetup S;
   SchedulerOptions Opts;
   Opts.MaxRetries = 1;

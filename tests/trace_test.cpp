@@ -269,13 +269,6 @@ TEST(MetricsTest, ToJsonParsesAndRoundTripsValues) {
   EXPECT_DOUBLE_EQ(CStats->find("mean")->NumberVal, 4.0);
 }
 
-TEST(MetricsTest, SummaryTableListsInstruments) {
-  Metrics M;
-  M.counter("x.calls").add(2);
-  std::string S = M.summaryTable();
-  EXPECT_NE(S.find("x.calls"), std::string::npos);
-}
-
 TEST(JsonTest, ParsesScalarsArraysObjects) {
   JsonValue V;
   ASSERT_TRUE(parseJson("null", V));

@@ -7,8 +7,8 @@
 # unsound_abstraction batch record (never `certified`),
 # deept_json_validate must reject a store containing a bare non-finite
 # token, and a --corpus that does not match the model's vocabulary, a
-# misspelled flag or an unknown command must be a bad argument (exit
-# class 2). The byte-precise corruption corpus lives in
+# misspelled flag, an unknown command or a bad flag value must be a bad
+# argument (exit class 2). The byte-precise corruption corpus lives in
 # tests/serialize_test.cpp; this drill checks the CLI surface. Run via:
 #   cmake -DDEEPT_CLI=... -DJSON_VALIDATE=... -DWORK_DIR=... -P SmokeFault.cmake
 
@@ -162,5 +162,36 @@ execute_process(
 if(NOT Rc EQUAL 2)
   message(FATAL_ERROR "unknown command: want rc=2, got rc=${Rc}: ${ErrOut}")
 endif()
+
+# Drill 8: flag values are parsed strictly and checked before any work.
+# Each input below used to exit 0 having done nothing useful, crash
+# (SIGFPE, assert), or loop forever; each must now be a typed bad
+# argument (exit class 2) within the timeout.
+set(BadValueCases
+    "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--cert-dir"
+    "certify|--model|${Model}|--sentences|abc"
+    "train|--out|${WORK_DIR}/bad.dptm|--heads|0"
+    "train|--out|${WORK_DIR}/bad.dptm|--heads|5"
+    "train|--out|${WORK_DIR}/bad.dptm|--steps|-1"
+    "certify|--model|${Model}|--corpus|bogus"
+    "certify|--model|${Model}|--word|20"
+    "attack|--model|${Model}|--word|20"
+    "certify|--model|${Model}|--norm|l3|--verifier|bogus"
+    "certify|--model|${Model}|--verifier|bogus"
+    "attack|--model|${Model}|--norm|l3")
+foreach(Case IN LISTS BadValueCases)
+  string(REPLACE "|" ";" CaseArgs "${Case}")
+  execute_process(
+    COMMAND "${DEEPT_CLI}" ${CaseArgs}
+    TIMEOUT 10
+    RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
+  if(NOT Rc EQUAL 2)
+    message(FATAL_ERROR "bad flag value (${Case}): want rc=2, got rc=${Rc}")
+  endif()
+  if(NOT ErrOut MATCHES "bad_argument")
+    message(FATAL_ERROR
+        "bad flag value (${Case}): missing typed bad_argument: ${ErrOut}")
+  endif()
+endforeach()
 
 message(STATUS "SmokeFault: all robustness drills passed")

@@ -26,7 +26,6 @@
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
-#include "support/Prometheus.h"
 #include "support/Timer.h"
 #include "support/Trace.h"
 #include "tensor/Kernels.h"
@@ -41,7 +40,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <sys/stat.h>
 #include <vector>
@@ -98,9 +96,6 @@ int usage() {
       "           out_of_memory, fault_injected) retry up to\n"
       "           --max-retries times on a deterministic exponential\n"
       "           backoff\n"
-      "  metrics  [--from stats.json]  print the metrics registry (or a\n"
-      "           saved --stats-json artifact) in Prometheus text\n"
-      "           exposition format\n"
       "  info     --model FILE\n"
       "\n"
       "exit codes: 0 success, 2 bad arguments, 3 model/store load\n"
@@ -124,12 +119,19 @@ int usage() {
   return 2;
 }
 
+support::Error badArgument(const std::string &Msg) {
+  return support::Error(support::ErrorCode::BadArgument, "cli.flags", Msg);
+}
+
 data::CorpusConfig corpusConfig(const std::string &Kind, size_t EmbedDim) {
+  if (Kind == "sst")
+    return data::CorpusConfig::sstLike(EmbedDim);
   if (Kind == "yelp")
     return data::CorpusConfig::yelpLike(EmbedDim);
   if (Kind == "synonym")
     return data::CorpusConfig::synonymRich(EmbedDim);
-  return data::CorpusConfig::sstLike(EmbedDim);
+  throw badArgument("--corpus must be sst, yelp or synonym, got '" + Kind +
+                    "'");
 }
 
 /// The --corpus (default \p Default) a command samples for \p Model. Its
@@ -156,41 +158,67 @@ data::SyntheticCorpus modelCorpus(const ArgParse &Args, const char *Default,
   return Corpus;
 }
 
-double parseNorm(const std::string &Name) {
-  if (Name == "l1")
-    return 1.0;
-  if (Name == "linf")
-    return tensor::Matrix::InfNorm;
-  return 2.0;
+/// --Name as an integer of at least \p Min (\p Default when absent).
+long intAtLeast(const ArgParse &Args, const std::string &Name, long Default,
+                long Min) {
+  long V = Args.getInt(Name, Default);
+  if (V < Min)
+    throw badArgument("--" + Name + " must be >= " + std::to_string(Min) +
+                      ", got " + std::to_string(V));
+  return V;
+}
+
+/// --norm (default l2) as an lp exponent, in the jobs-file vocabulary.
+double normFlag(const ArgParse &Args) {
+  double P = 2.0;
+  if (!verify::parseNormName(Args.get("norm", "l2"), P))
+    throw badArgument("--norm must be l1, l2 or linf, got '" +
+                      Args.get("norm") + "'");
+  return P;
+}
+
+/// --word as a position some sentence of \p Corpus has; a larger one
+/// would make the sampling loops search forever.
+size_t wordFlag(const ArgParse &Args, const data::SyntheticCorpus &Corpus) {
+  long Word = intAtLeast(Args, "word", 0, 0);
+  if (static_cast<size_t>(Word) >= Corpus.config().MaxLen)
+    throw badArgument("--word " + std::to_string(Word) +
+                      " is past the corpus's longest sentence (" +
+                      std::to_string(Corpus.config().MaxLen) + " words)");
+  return static_cast<size_t>(Word);
 }
 
 int cmdTrain(const ArgParse &Args) {
   std::string Out = Args.get("out");
-  if (Out.empty()) {
-    std::fprintf(stderr, "error: train needs --out FILE\n");
-    return 2;
-  }
-  size_t EmbedDim = Args.getInt("embed", 24);
-  data::SyntheticCorpus Corpus(
-      corpusConfig(Args.get("corpus", "sst"), EmbedDim));
-
+  if (Out.empty())
+    throw badArgument("train needs --out FILE");
   nn::TransformerConfig Cfg;
-  Cfg.EmbedDim = EmbedDim;
-  Cfg.NumHeads = Args.getInt("heads", 4);
-  Cfg.HiddenDim = Args.getInt("hidden", EmbedDim);
-  Cfg.NumLayers = Args.getInt("layers", 3);
+  Cfg.EmbedDim = intAtLeast(Args, "embed", 24, 1);
+  Cfg.NumHeads = intAtLeast(Args, "heads", 4, 1);
+  Cfg.HiddenDim = intAtLeast(Args, "hidden", Cfg.EmbedDim, 1);
+  Cfg.NumLayers = intAtLeast(Args, "layers", 3, 1);
   Cfg.MaxLen = 16;
   Cfg.LayerNormStdDiv = Args.has("std-layernorm");
+  long Seed = Args.getInt("seed", 1);
+  nn::TrainOptions Opts;
+  Opts.Steps = intAtLeast(Args, "steps", 60 * Cfg.NumLayers + 120, 0);
+  data::SyntheticCorpus Corpus(
+      corpusConfig(Args.get("corpus", "sst"), Cfg.EmbedDim));
+  // The loader's limits (head count dividing the embedding, dimension
+  // bounds): a model that breaks them would crash training or fail to
+  // load once saved.
+  Cfg.VocabSize = Corpus.vocabSize();
+  std::string Why;
+  if (!nn::validateConfig(Cfg, &Why))
+    throw badArgument(Why);
 
-  support::Rng Rng(Args.getInt("seed", 1));
+  support::Rng Rng(Seed);
   nn::TransformerModel Model =
       nn::TransformerModel::init(Cfg, Corpus.embeddings(), Rng);
 
-  support::Rng DataRng(Args.getInt("seed", 1) + 1);
+  support::Rng DataRng(Seed + 1);
   auto Train = Corpus.sampleDataset(512, DataRng);
   auto Test = Corpus.sampleDataset(200, DataRng);
-  nn::TrainOptions Opts;
-  Opts.Steps = Args.getInt("steps", 60 * Cfg.NumLayers + 120);
   Opts.BatchSize = 16;
   if (Args.has("robust")) {
     Opts.SynonymSwapProb = 0.8;
@@ -215,10 +243,8 @@ int cmdTrain(const ArgParse &Args) {
 
 int loadModelOrFail(const ArgParse &Args, nn::TransformerModel &Model) {
   std::string Path = Args.get("model");
-  if (Path.empty()) {
-    std::fprintf(stderr, "error: missing --model FILE\n");
-    return support::exitCodeFor(support::ErrorCode::BadArgument);
-  }
+  if (Path.empty())
+    throw badArgument("missing --model FILE");
   support::Error Err;
   if (!nn::loadModel(Path, Model, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.what());
@@ -228,43 +254,38 @@ int loadModelOrFail(const ArgParse &Args, nn::TransformerModel &Model) {
 }
 
 int cmdCertify(const ArgParse &Args) {
+  double P = normFlag(Args);
+  size_t Count = intAtLeast(Args, "sentences", 3, 0);
+  std::string Verifier = Args.get("verifier", "fast");
+  verify::JobMethod Method;
+  if (!verify::parseJobMethod(Verifier, Method))
+    throw badArgument("--verifier must be fast, precise, combined, "
+                      "crown-baf or crown-backward, got '" +
+                      Verifier + "'");
+  bool IsCrown = Method == verify::JobMethod::CrownBaF ||
+                 Method == verify::JobMethod::CrownBackward;
+  double FixedEps = Args.getDouble("eps", 0.0);
+  if (Args.has("eps") && FixedEps <= 0.0)
+    throw badArgument("--eps must be positive");
+  long Seed = Args.getInt("seed", 2);
+  std::string ProfileOut = Args.get("profile-out");
+  std::string CertOut = Args.get("cert-out");
+  support::FpPrecision Precision = support::FpPrecision::F64;
+  if (Args.has("precision")) {
+    std::string Err;
+    if (!support::parseFpPrecision(Args.get("precision"), Precision, &Err))
+      throw badArgument("--precision " + Err);
+  }
+  if (IsCrown && (!ProfileOut.empty() || !CertOut.empty() ||
+                  Precision == support::FpPrecision::F32))
+    throw badArgument("--profile-out, --cert-out and --precision f32 need "
+                      "a DeepT verifier (fast, precise or combined)");
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
   data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
-  double P = parseNorm(Args.get("norm", "l2"));
-  size_t Word = Args.getInt("word", 0);
-  size_t Count = Args.getInt("sentences", 3);
-  std::string Verifier = Args.get("verifier", "fast");
-  double FixedEps = Args.getDouble("eps", 0.0);
-  bool IsCrown = Verifier == "crown-baf" || Verifier == "crown-backward";
+  size_t Word = wordFlag(Args, Corpus);
 
-  std::string ProfileOut = Args.get("profile-out");
-  if (!ProfileOut.empty() && IsCrown) {
-    std::fprintf(stderr, "error: --profile-out needs a DeepT verifier "
-                         "(fast, precise or combined)\n");
-    return 2;
-  }
-  std::string CertOut = Args.get("cert-out");
-  if (!CertOut.empty() && IsCrown) {
-    std::fprintf(stderr, "error: --cert-out needs a DeepT verifier "
-                         "(fast, precise or combined)\n");
-    return 2;
-  }
-
-  support::FpPrecision Precision = support::FpPrecision::F64;
-  if (Args.has("precision")) {
-    std::string Err;
-    if (!support::parseFpPrecision(Args.get("precision"), Precision, &Err)) {
-      std::fprintf(stderr, "error: --precision %s\n", Err.c_str());
-      return 2;
-    }
-    if (Precision == support::FpPrecision::F32 && IsCrown) {
-      std::fprintf(stderr, "error: --precision f32 needs a DeepT verifier "
-                           "(fast, precise or combined)\n");
-      return 2;
-    }
-  }
   support::AppendFile ProfileFile;
   if (!ProfileOut.empty()) {
     support::Error Err;
@@ -296,8 +317,9 @@ int cmdCertify(const ArgParse &Args) {
   auto MarginAt = [&](const data::Sentence &S, double R) -> double {
     if (IsCrown) {
       crown::CrownConfig Cfg;
-      Cfg.Mode = Verifier == "crown-baf" ? crown::CrownMode::BaF
-                                         : crown::CrownMode::Backward;
+      Cfg.Mode = Method == verify::JobMethod::CrownBaF
+                     ? crown::CrownMode::BaF
+                     : crown::CrownMode::Backward;
       crown::CrownOutcome O =
           crown::CrownVerifier(Model, Cfg)
               .certifyMarginLpBall(S.Tokens, Word, P, R, S.Label);
@@ -305,9 +327,9 @@ int cmdCertify(const ArgParse &Args) {
     }
     verify::VerifierConfig Cfg;
     Cfg.NoiseReductionBudget = 600;
-    if (Verifier == "precise")
+    if (Method == verify::JobMethod::Precise)
       Cfg.Method = zono::DotMethod::Precise;
-    if (Verifier == "combined")
+    if (Method == verify::JobMethod::Combined)
       Cfg.PreciseLastLayerOnly = true;
     Cfg.Precision = Precision;
     if (ProfileFile.isOpen())
@@ -340,7 +362,7 @@ int cmdCertify(const ArgParse &Args) {
     return M;
   };
 
-  support::Rng Rng(Args.getInt("seed", 2));
+  support::Rng Rng(Seed);
   size_t Done = 0;
   while (Done < Count) {
     data::Sentence S = Corpus.sampleSentence(Rng);
@@ -379,6 +401,8 @@ int cmdCertify(const ArgParse &Args) {
 }
 
 int cmdSynonym(const ArgParse &Args) {
+  size_t Count = intAtLeast(Args, "count", 10, 0);
+  long Seed = Args.getInt("seed", 3);
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
@@ -386,8 +410,7 @@ int cmdSynonym(const ArgParse &Args) {
   verify::VerifierConfig Cfg;
   Cfg.NoiseReductionBudget = 600;
   verify::DeepTVerifier V(Model, Cfg);
-  support::Rng Rng(Args.getInt("seed", 3));
-  size_t Count = Args.getInt("count", 10);
+  support::Rng Rng(Seed);
   size_t Certified = 0, Done = 0;
   while (Done < Count) {
     data::Sentence S = Corpus.sampleSentence(Rng);
@@ -410,13 +433,14 @@ int cmdSynonym(const ArgParse &Args) {
 }
 
 int cmdAttack(const ArgParse &Args) {
+  double P = normFlag(Args);
+  long Seed = Args.getInt("seed", 4);
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
   data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
-  double P = parseNorm(Args.get("norm", "l2"));
-  size_t Word = Args.getInt("word", 0);
-  support::Rng Rng(Args.getInt("seed", 4));
+  size_t Word = wordFlag(Args, Corpus);
+  support::Rng Rng(Seed);
   data::Sentence S;
   do {
     S = Corpus.sampleSentence(Rng);
@@ -447,16 +471,17 @@ void printHealthLine() {
 }
 
 int cmdBatch(const ArgParse &Args) {
+  verify::SchedulerOptions SO;
+  SO.DefaultDeadlineMs = intAtLeast(Args, "deadline-ms", 0, 0);
+  SO.MaxRetries = static_cast<int>(
+      intAtLeast(Args, "max-retries", 0, 0));
+  std::string JobsPath = Args.get("jobs");
+  std::string OutPath = Args.get("out");
+  if (JobsPath.empty() || OutPath.empty())
+    throw badArgument("batch needs --jobs FILE.json and --out FILE.jsonl");
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
-  std::string JobsPath = Args.get("jobs");
-  std::string OutPath = Args.get("out");
-  if (JobsPath.empty() || OutPath.empty()) {
-    std::fprintf(stderr,
-                 "error: batch needs --jobs FILE.json and --out FILE.jsonl\n");
-    return 2;
-  }
   data::SyntheticCorpus Corpus = modelCorpus(Args, "sst", Model);
 
   verify::JobQueue Queue;
@@ -466,21 +491,6 @@ int cmdBatch(const ArgParse &Args) {
     return support::exitCodeFor(support::ErrorCode::BadArgument);
   }
 
-  verify::SchedulerOptions SO;
-  long DeadlineMs = 0;
-  if (!Args.getIntStrict("deadline-ms", DeadlineMs, &Err) || DeadlineMs < 0) {
-    std::fprintf(stderr, "error: %s\n",
-                 Err.empty() ? "--deadline-ms must be >= 0" : Err.c_str());
-    return 2;
-  }
-  SO.DefaultDeadlineMs = DeadlineMs;
-  long MaxRetries = 0;
-  if (!Args.getIntStrict("max-retries", MaxRetries, &Err) || MaxRetries < 0) {
-    std::fprintf(stderr, "error: %s\n",
-                 Err.empty() ? "--max-retries must be >= 0" : Err.c_str());
-    return 2;
-  }
-  SO.MaxRetries = static_cast<int>(MaxRetries);
   SO.JsonlPath = OutPath;
   SO.Resume = Args.has("resume");
   SO.Fsync = Args.has("fsync");
@@ -543,37 +553,6 @@ int cmdInfo(const ArgParse &Args) {
   return 0;
 }
 
-int cmdMetrics(const ArgParse &Args) {
-  std::string From = Args.get("from");
-  if (From.empty()) {
-    // The live registry of this process -- the same text a serving
-    // daemon would mount at /metrics.
-    std::fputs(support::prometheusText(support::Metrics::global()).c_str(),
-               stdout);
-    return 0;
-  }
-  std::ifstream In(From, std::ios::binary);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", From.c_str());
-    return support::exitCodeFor(support::ErrorCode::IoError);
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  support::JsonValue Doc;
-  std::string Err;
-  if (!support::parseJson(Buf.str(), Doc, &Err)) {
-    std::fprintf(stderr, "error: %s: %s\n", From.c_str(), Err.c_str());
-    return support::exitCodeFor(support::ErrorCode::BadArgument);
-  }
-  std::string Text;
-  if (!support::prometheusFromStatsJson(Doc, Text, &Err)) {
-    std::fprintf(stderr, "error: %s: %s\n", From.c_str(), Err.c_str());
-    return support::exitCodeFor(support::ErrorCode::BadArgument);
-  }
-  std::fputs(Text.c_str(), stdout);
-  return 0;
-}
-
 /// One subcommand: its entry point and every flag it reads. Any other
 /// flag, apart from the global execution and observability ones, is a
 /// typo that would otherwise be silently ignored.
@@ -598,7 +577,6 @@ const Command Commands[] = {
      cmdBatch,
      {"model", "jobs", "out", "corpus", "deadline-ms", "max-retries",
       "resume", "fsync", "profile-out", "recorder-dir", "cert-dir"}},
-    {"metrics", cmdMetrics, {"from"}},
     {"info", cmdInfo, {"model"}},
 };
 
@@ -646,6 +624,14 @@ int main(int Argc, char **Argv) {
     support::Error Err(support::ErrorCode::BadArgument, "cli.flags",
                        "unknown flag " + Names + " for " + Cmd +
                            " (see deept_cli with no arguments)");
+    std::fprintf(stderr, "error: %s\n", Err.what());
+    return support::exitCodeFor(Err.code());
+  }
+  // A value-taking flag given last, or followed by another flag, would
+  // otherwise read as unset (`--cert-dir` last: no certificates).
+  if (!Args.missingValues().empty()) {
+    support::Error Err = badArgument(
+        "--" + Args.missingValues().front() + " expects a value");
     std::fprintf(stderr, "error: %s\n", Err.what());
     return support::exitCodeFor(Err.code());
   }
