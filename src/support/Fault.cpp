@@ -32,16 +32,26 @@ struct Spec {
   uint64_t Hits = 0; // per-spec hit counter for its site
 };
 
-/// Armed specs plus bookkeeping. A single mutex guards everything -- every
+/// Where arming stands. Unchecked until the first site hit (or an
+/// explicit arm/disarm) has looked at DEEPT_FAULTS; after that a site hit
+/// reads only this, and takes the mutex only when something is Armed.
+enum class Phase : uint8_t { Unchecked, Disarmed, Armed };
+
+/// Armed specs plus bookkeeping. A single mutex guards the specs -- every
 /// site is on a cold path (IO, per-job, per-layer), so contention is nil;
-/// the Armed flag keeps the disarmed fast path to one relaxed load.
+/// Mode keeps the disarmed fast path to one atomic load.
 struct State {
   std::mutex Mu;
   std::vector<Spec> Specs;
-  std::atomic<bool> Armed{false};
+  std::atomic<Phase> Mode{Phase::Unchecked};
   std::atomic<uint64_t> Injected{0};
-  bool EnvChecked = false;
 };
+
+/// Publishes the arming state of \p S's specs. Call with the mutex held.
+void publishLocked(State &S) {
+  S.Mode.store(S.Specs.empty() ? Phase::Disarmed : Phase::Armed,
+               std::memory_order_release);
+}
 
 State &state() {
   static State S;
@@ -106,9 +116,9 @@ bool parseOne(const std::string &Text, Spec &Out, std::string *Err) {
 /// Lazily arms from DEEPT_FAULTS the first time any site is hit, so CLI
 /// drills need no code changes. Call with the mutex held.
 void checkEnvLocked(State &S) {
-  if (S.EnvChecked)
+  if (S.Mode.load(std::memory_order_relaxed) != Phase::Unchecked)
     return;
-  S.EnvChecked = true;
+  S.Mode.store(Phase::Disarmed, std::memory_order_release);
   const char *Env = std::getenv("DEEPT_FAULTS");
   if (!Env || !*Env)
     return;
@@ -130,7 +140,7 @@ void checkEnvLocked(State &S) {
     Start = Comma + 1;
   }
   S.Specs = std::move(Parsed);
-  S.Armed.store(!S.Specs.empty(), std::memory_order_release);
+  publishLocked(S);
 }
 
 support::Counter &injectedCounter() {
@@ -145,14 +155,12 @@ support::Counter &injectedCounter() {
 /// out so the caller acts without the lock held.
 bool nextFault(const char *Site, bool (*Filter)(Kind), Spec &Out) {
   State &S = state();
-  if (!S.Armed.load(std::memory_order_acquire)) {
-    // One cheap lock on the very first hit to pick up DEEPT_FAULTS.
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    checkEnvLocked(S);
-    if (!S.Armed.load(std::memory_order_relaxed))
-      return false;
-  }
+  Phase Mode = S.Mode.load(std::memory_order_acquire);
+  if (Mode == Phase::Disarmed)
+    return false;
   std::lock_guard<std::mutex> Lock(S.Mu);
+  if (Mode == Phase::Unchecked)
+    checkEnvLocked(S); // the one lock taken to pick up DEEPT_FAULTS
   for (Spec &Sp : S.Specs) {
     if (Sp.Site != Site || !Filter(Sp.K))
       continue;
@@ -192,8 +200,7 @@ bool deept::support::fault::arm(const std::string &SpecText,
   State &S = state();
   std::lock_guard<std::mutex> Lock(S.Mu);
   S.Specs = std::move(Parsed);
-  S.EnvChecked = true; // explicit arming overrides the environment
-  S.Armed.store(!S.Specs.empty(), std::memory_order_release);
+  publishLocked(S); // explicit arming overrides the environment
   return true;
 }
 
@@ -201,13 +208,12 @@ void deept::support::fault::disarm() {
   State &S = state();
   std::lock_guard<std::mutex> Lock(S.Mu);
   S.Specs.clear();
-  S.EnvChecked = true;
-  S.Armed.store(false, std::memory_order_release);
+  publishLocked(S);
   S.Injected.store(0, std::memory_order_relaxed);
 }
 
 bool deept::support::fault::armed() {
-  return state().Armed.load(std::memory_order_acquire);
+  return state().Mode.load(std::memory_order_acquire) == Phase::Armed;
 }
 
 uint64_t deept::support::fault::injectedCount() {

@@ -16,8 +16,8 @@
 /// inputs -- no thread-count or scheduling dependence -- so results stay
 /// bit-identical at any thread count *within* an ISA. Different ISAs may
 /// differ by ulps in the reduction kernels (Dot / Sum / RowSums /
-/// CascadeDense / DotPlanesTransposedB), which accumulate in L lanes
-/// (scalar L=1, AVX2 L=4, AVX-512 L=8):
+/// CascadeDense / DotPlanesTransposedB / EpsPairs), which accumulate in L
+/// lanes (scalar L=1, AVX2 L=4, AVX-512 L=8):
 /// element k feeds lane k % L via FMA, lanes reduce pairwise in the fixed
 /// order detail::dotLanes documents, and the tail (k >= N - N % L)
 /// FMA-accumulates serially onto the lane total. detail::dotLanes /
@@ -143,7 +143,28 @@ struct Kernels {
   /// (one multiply per element), so bit-identical on every ISA.
   void (*RowScale)(const double *Lambda, double *Rows, size_t R,
                    size_t Stride, size_t N);
+
+  /// The Eq. 6 partner loop of one outer symbol s: for t in 0..T-1,
+  ///   G = Dot(AS, column t of Panel, D);
+  ///   t == Self:  G > 0 ? *Hi += G : *Lo += G;   (eps_s^2 in [0, 1])
+  ///   otherwise:  *Hi += |G|;  *Lo -= |G|;       (eps_s eps_t in [-1, 1])
+  /// Panel is k-major: element k of partner t sits at Panel[k * Stride +
+  /// t], with Stride a multiple of Lanes (epsPairsStride) and the padding
+  /// columns T..Stride-1 readable. Self >= T means s is not a partner.
+  /// Vector lanes run over partners; each lane runs exactly the FMA
+  /// sequence Dot runs on one row (D < L: one serial chain; else one
+  /// chain per k % L, the pairwise-halving reduction, the serial tail),
+  /// and the fold is serial in ascending t, so the result is
+  /// bit-identical to T calls of Dot and the sequential fold.
+  void (*EpsPairs)(const double *AS, const double *Panel, size_t Stride,
+                   size_t T, size_t D, size_t Self, double *Lo, double *Hi);
 };
+
+/// Column stride of an EpsPairs panel over \p T partners: T rounded up
+/// to a whole number of vector lanes.
+inline size_t epsPairsStride(size_t T, size_t Lanes) {
+  return (T + Lanes - 1) / Lanes * Lanes;
+}
 
 /// Scratch doubles a DotPlanesTransposedB call needs for its packed
 /// shared panel: the shared-A case stores N hoisted zero-row flags ahead

@@ -101,6 +101,20 @@ std::string fileSafe(const std::string &Key) {
   return Out;
 }
 
+/// Reads \p V as an integer in [0, Max]: a JSON number with no fraction.
+/// Anything else -- a string "3", 1.5, -1, NaN, 1e300 -- returns false,
+/// so no out-of-range double ever reaches an integer cast.
+bool wholeNumber(const support::JsonValue &V, double Max, uint64_t &Out) {
+  if (V.K != support::JsonValue::Kind::Number || !(V.NumberVal >= 0.0) ||
+      V.NumberVal > Max || std::trunc(V.NumberVal) != V.NumberVal)
+    return false;
+  Out = static_cast<uint64_t>(V.NumberVal);
+  return true;
+}
+
+/// 2^53: every integer up to it is exactly representable as a double.
+constexpr double MaxExactInt = 9007199254740992.0;
+
 } // namespace
 
 const char *deept::verify::jobMethodName(JobMethod M) {
@@ -184,38 +198,43 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
       S.Id = V->StringVal;
     }
 
-    // Sentence: explicit tokens, or a corpus sample by seed.
+    // Sentence: explicit tokens, or a corpus sample by seed. The label is
+    // a class of the binary classifier: 0 or 1.
     const support::JsonValue *Tokens = J.find("tokens");
     const support::JsonValue *Seed = J.find("seed");
+    const support::JsonValue *Label = J.find("label");
+    uint64_t LabelVal = 0, Whole = 0;
+    if (Label && !wholeNumber(*Label, 1.0, LabelVal))
+      return Fail(Where + ": \"label\" must be 0 or 1");
     if (Tokens) {
       if (!Tokens->isArray() || Tokens->Items.empty())
         return Fail(Where + ": \"tokens\" must be a non-empty array");
       for (const support::JsonValue &T : Tokens->Items) {
-        if (T.K != support::JsonValue::Kind::Number || T.NumberVal < 0)
-          return Fail(Where + ": tokens must be non-negative numbers");
-        S.Tokens.push_back(static_cast<size_t>(T.NumberVal));
+        if (!wholeNumber(T, MaxExactInt, Whole))
+          return Fail(Where + ": \"tokens\" must be non-negative integers");
+        S.Tokens.push_back(static_cast<size_t>(Whole));
       }
-      const support::JsonValue *Label = J.find("label");
-      if (!Label || Label->K != support::JsonValue::Kind::Number)
+      if (!Label)
         return Fail(Where + ": explicit \"tokens\" need a \"label\"");
-      S.TrueClass = static_cast<size_t>(Label->NumberVal);
+      S.TrueClass = static_cast<size_t>(LabelVal);
     } else if (Seed) {
-      if (Seed->K != support::JsonValue::Kind::Number)
-        return Fail(Where + ": \"seed\" must be a number");
+      if (!wholeNumber(*Seed, MaxExactInt, Whole))
+        return Fail(Where + ": \"seed\" must be a non-negative integer");
       if (!Corpus)
         return Fail(Where + ": \"seed\" jobs need a corpus");
-      support::Rng Rng(static_cast<uint64_t>(Seed->NumberVal));
+      support::Rng Rng(Whole);
       data::Sentence Sent = Corpus->sampleSentence(Rng);
       S.Tokens = std::move(Sent.Tokens);
-      S.TrueClass = Sent.Label;
-      if (const support::JsonValue *Label = J.find("label"))
-        S.TrueClass = static_cast<size_t>(Label->NumberVal);
+      S.TrueClass = Label ? static_cast<size_t>(LabelVal) : Sent.Label;
     } else {
       return Fail(Where + ": needs \"tokens\" or \"seed\"");
     }
 
-    if (const support::JsonValue *V = J.find("word"))
-      S.Word = static_cast<size_t>(V->NumberVal);
+    if (const support::JsonValue *V = J.find("word")) {
+      if (!wholeNumber(*V, MaxExactInt, Whole))
+        return Fail(Where + ": \"word\" must be a non-negative integer");
+      S.Word = static_cast<size_t>(Whole);
+    }
     if (const support::JsonValue *V = J.find("norm")) {
       if (V->K != support::JsonValue::Kind::String ||
           !parseNormName(V->StringVal, S.P))

@@ -163,31 +163,40 @@ Matrix fastAbsBound(const std::vector<EpsBlockView> &Outer, size_t OuterSyms,
 /// Lists, for each row of an N x D view, the symbols whose coefficient
 /// slice on that row is not identically zero. Fresh (diagonal) symbols
 /// touch a single variable, so these lists are short in practice.
-/// Parallel over rows; each row's list stays in ascending symbol order.
+/// Serial, one contiguous pass over each symbol's coefficient row; each
+/// row's list comes out in ascending symbol order.
 std::vector<std::vector<size_t>> activeSymbolsPerRow(const Matrix &Coeffs,
                                                      size_t N, size_t D) {
   std::vector<std::vector<size_t>> Active(N);
-  size_t NumS = Coeffs.rows();
-  parallelFor(0, N, grainForWork(NumS * D), [&](size_t I0, size_t I1) {
-    for (size_t I = I0; I < I1; ++I) {
-      for (size_t S = 0; S < NumS; ++S) {
-        const double *Slice = Coeffs.rowPtr(S) + I * D;
-        for (size_t K = 0; K < D; ++K) {
-          if (Slice[K] != 0.0) {
-            Active[I].push_back(S);
-            break;
-          }
+  for (size_t S = 0; S < Coeffs.rows(); ++S) {
+    const double *Row = Coeffs.rowPtr(S);
+    for (size_t I = 0; I < N; ++I) {
+      const double *Slice = Row + I * D;
+      for (size_t K = 0; K < D; ++K) {
+        if (Slice[K] != 0.0) {
+          Active[I].push_back(S);
+          break;
         }
       }
     }
-  });
+  }
   return Active;
 }
 
 /// The Eq. 6 eps-eps interval bound: accumulates, for every output pair,
 ///   sum_s (v_s . w_s) * [0, 1]  +  sum_{s != t} (v_s . w_t) * [-1, 1]
-/// into (Lo, Hi). Parallel over the rows of the N x M output; the
-/// per-pair double loop over active symbols keeps its serial order.
+/// into (Lo, Hi). Each row J of B packs its active partner slices once
+/// into a k-major D x T panel; then, parallel over the N x M output
+/// elements, one EpsPairs call per (I, J, s) bounds s against every
+/// partner t of J. The kernel reproduces the per-pair Dot bits and folds
+/// s-major, t-minor, so the result is independent of the thread count and
+/// the same as a per-pair Dot loop on every ISA.
+///
+/// Only the EpsPairs loop is dispatched to the pool: the symbol lists and
+/// the packing take a few microseconds, less than a pool wake-up. The
+/// loop's chunks are single output elements, not rows: N is the sentence
+/// length (5 rows on 2 threads leave one thread a row behind), and
+/// element chunks keep both threads busy to the end of the loop.
 void preciseEpsBound(const Matrix &EA, size_t N, const Matrix &EB, size_t M,
                      size_t D, Matrix &Lo, Matrix &Hi) {
   Lo = Matrix(N, M, 0.0);
@@ -195,31 +204,46 @@ void preciseEpsBound(const Matrix &EA, size_t N, const Matrix &EB, size_t M,
   assert(EA.rows() == EB.rows() && "eps spaces must be aligned");
   auto ActiveA = activeSymbolsPerRow(EA, N, D);
   auto ActiveB = activeSymbolsPerRow(EB, M, D);
-  parallelFor(0, N, 1, [&](size_t I0, size_t I1) {
-    for (size_t I = I0; I < I1; ++I) {
-      for (size_t J = 0; J < M; ++J) {
-        double L = 0.0, H = 0.0;
-        for (size_t S : ActiveA[I]) {
-          const double *AS = EA.rowPtr(S) + I * D;
-          for (size_t T : ActiveB[J]) {
-            const double *BT = EB.rowPtr(T) + J * D;
-            double G = tensor::kernels().Dot(AS, BT, D);
-            if (S == T) {
-              // eps^2 in [0, 1].
-              if (G > 0.0)
-                H += G;
-              else
-                L += G;
-            } else {
-              // eps_s eps_t in [-1, 1].
-              H += std::fabs(G);
-              L -= std::fabs(G);
-            }
-          }
-        }
-        Lo.at(I, J) = L;
-        Hi.at(I, J) = H;
+  const tensor::Kernels &K = tensor::kernels();
+  std::vector<size_t> Stride(M), Offset(M + 1, 0);
+  for (size_t J = 0; J < M; ++J) {
+    Stride[J] = tensor::epsPairsStride(ActiveB[J].size(), K.Lanes);
+    Offset[J + 1] = Offset[J] + D * Stride[J];
+  }
+  // Caller-local scratch kept at high-water capacity (see dotRows); every
+  // slot the kernel reads, padding included, is rewritten below. The
+  // workers reach it through this pointer, not their own thread_local.
+  static thread_local std::vector<double> Panels;
+  Panels.resize(Offset[M]);
+  double *PanelBase = Panels.data();
+  for (size_t J = 0; J < M; ++J) {
+    double *P = PanelBase + Offset[J];
+    const std::vector<size_t> &TB = ActiveB[J];
+    for (size_t Q = 0; Q < TB.size(); ++Q) {
+      const double *BT = EB.rowPtr(TB[Q]) + J * D;
+      for (size_t Kk = 0; Kk < D; ++Kk)
+        P[Kk * Stride[J] + Q] = BT[Kk];
+    }
+    for (size_t Kk = 0; Kk < D; ++Kk)
+      std::fill(P + Kk * Stride[J] + TB.size(), P + (Kk + 1) * Stride[J],
+                0.0);
+  }
+  parallelFor(0, N * M, 1, [&](size_t E0, size_t E1) {
+    for (size_t E = E0; E < E1; ++E) {
+      size_t I = E / M, J = E % M;
+      const std::vector<size_t> &TB = ActiveB[J];
+      double L = 0.0, H = 0.0;
+      size_t Self = 0; // first partner >= S; both lists ascend
+      for (size_t S : ActiveA[I]) {
+        while (Self < TB.size() && TB[Self] < S)
+          ++Self;
+        K.EpsPairs(EA.rowPtr(S) + I * D, PanelBase + Offset[J], Stride[J],
+                   TB.size(), D,
+                   Self < TB.size() && TB[Self] == S ? Self : TB.size(), &L,
+                   &H);
       }
+      Lo.at(I, J) = L;
+      Hi.at(I, J) = H;
     }
   });
 }

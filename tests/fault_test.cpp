@@ -165,6 +165,19 @@ TEST(Fault, PointFiresAtNthHitOnly) {
   EXPECT_EQ(fault::injectedCount(), 1u);
 }
 
+TEST(Fault, UnarmedHitsDoNotMaskALaterArm) {
+  // Hits while disarmed take the one-load fast path and count nothing, so
+  // arming afterwards still fires on the next hit (hit 1 of the spec).
+  fault::disarm();
+  for (int I = 0; I < 3; ++I)
+    EXPECT_NO_THROW(fault::point("t.late"));
+  EXPECT_FALSE(fault::ioFail("t.late"));
+  ScopedFaults F("t.late:1:fail");
+  EXPECT_THROW(fault::point("t.late"), Error);
+  EXPECT_NO_THROW(fault::point("t.late"));
+  EXPECT_EQ(fault::injectedCount(), 1u);
+}
+
 TEST(Fault, CountZeroFiresEveryHit) {
   ScopedFaults F("t.every:0:fail");
   for (int I = 0; I < 3; ++I)

@@ -144,6 +144,72 @@ TEST(KernelEquivalence, ReductionsMatchLaneOrderedEmulation) {
   }
 }
 
+/// The Eq. 6 partner kernel must equal, bit for bit, the per-pair loop it
+/// replaced: that table's Dot on every (s, t) pair, folded in ascending t
+/// onto the incoming (Lo, Hi). Covers every D through 2L + 3 (the D < L
+/// chain, the lane chains with and without a tail), partner counts on
+/// both sides of each lane boundary, s inside the partner set at several
+/// positions and outside it, and zero, negative and positive products.
+/// The panel padding holds NaN, so a padded lane that leaked into the
+/// fold would show.
+TEST(KernelEquivalence, EpsPairsMatchPerPairDot) {
+  support::Rng Rng(0xE6E6);
+  for (Isa I : availableIsas()) {
+    ScopedIsa Sc(I);
+    const Kernels &K = tensor::kernels();
+    const size_t L = K.Lanes;
+    for (size_t D = 1; D <= 2 * L + 3; ++D) {
+      for (size_t T : {size_t(0), size_t(1), L - 1, L, L + 1, 3 * L + 2}) {
+        std::vector<double> AS = randomVec(D, Rng, 0.3);
+        std::vector<std::vector<double>> Rows;
+        for (size_t Q = 0; Q < T; ++Q)
+          Rows.push_back(randomVec(D, Rng, 0.3));
+        if (T > 0) // an exact zero product
+          std::fill(Rows[0].begin(), Rows[0].end(), 0.0);
+        if (T > 1) // a negative one: the partner is -AS
+          for (size_t Kk = 0; Kk < D; ++Kk)
+            Rows[1][Kk] = -AS[Kk];
+        size_t Stride = tensor::epsPairsStride(T, L);
+        std::vector<double> Panel(D * Stride, std::nan(""));
+        for (size_t Q = 0; Q < T; ++Q)
+          for (size_t Kk = 0; Kk < D; ++Kk)
+            Panel[Kk * Stride + Q] = Rows[Q][Kk];
+        std::vector<size_t> Selves = {T, T + 7};
+        for (size_t Self : {size_t(0), size_t(1), T / 2, T - 1})
+          if (Self < T)
+            Selves.push_back(Self);
+        for (size_t Self : Selves) {
+          double L0 = Rng.gaussian(), H0 = Rng.gaussian();
+          double WantLo = L0, WantHi = H0;
+          for (size_t Q = 0; Q < T; ++Q) {
+            double G = K.Dot(AS.data(), Rows[Q].data(), D);
+            if (Q == Self) {
+              if (G > 0.0)
+                WantHi += G;
+              else
+                WantLo += G;
+            } else {
+              WantHi += std::fabs(G);
+              WantLo -= std::fabs(G);
+            }
+          }
+          double GotLo = L0, GotHi = H0;
+          K.EpsPairs(AS.data(), Panel.data(), Stride, T, D, Self, &GotLo,
+                     &GotHi);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(GotLo),
+                    std::bit_cast<std::uint64_t>(WantLo))
+              << "EpsPairs Lo isa=" << tensor::isaName(I) << " D=" << D
+              << " T=" << T << " self=" << Self;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(GotHi),
+                    std::bit_cast<std::uint64_t>(WantHi))
+              << "EpsPairs Hi isa=" << tensor::isaName(I) << " D=" << D
+              << " T=" << T << " self=" << Self;
+        }
+      }
+    }
+  }
+}
+
 /// A DotPlanesTransposedB problem: S planes of N x D times M x D^T.
 struct PlanesShape {
   size_t N, M, D, S;
@@ -733,6 +799,23 @@ TEST(F32Soundness, CachedSstNeverCertifiesWhatF64Falsifies) {
   }
 }
 
+/// The deept_cli sentence selection behind the cached-model margin pins:
+/// sample with seed 2, keep the first two sentences the model classifies
+/// correctly with word 0 in range.
+std::vector<data::Sentence> sstPinSentences(const nn::TransformerModel &Model) {
+  data::SyntheticCorpus Corpus(
+      data::CorpusConfig::sstLike(Model.Config.EmbedDim));
+  support::Rng Rng(2);
+  std::vector<data::Sentence> Sentences;
+  while (Sentences.size() < 2) {
+    data::Sentence S = Corpus.sampleSentence(Rng);
+    if (Model.classify(S.Tokens) != S.Label || S.Tokens.empty())
+      continue;
+    Sentences.push_back(S);
+  }
+  return Sentences;
+}
+
 /// End-to-end regression pins for the whole-plane fused rewrite: margins
 /// on the cached sst_m12 model must reproduce the pre-fusion release
 /// bit-for-bit at the scalar ISA (the one table whose reduction order is
@@ -747,19 +830,7 @@ TEST(KernelEquivalence, CachedSstMarginsBitIdenticalToPreFusionRelease) {
   if (!tensor::isaAvailable(Isa::Scalar))
     GTEST_SKIP() << "scalar table unavailable";
   ScopedIsa Sc(Isa::Scalar);
-
-  // The deept_cli sentence selection: sample with seed 2, keep the first
-  // two sentences the model classifies correctly with word 0 in range.
-  data::SyntheticCorpus Corpus(
-      data::CorpusConfig::sstLike(Model.Config.EmbedDim));
-  support::Rng Rng(2);
-  std::vector<data::Sentence> Sentences;
-  while (Sentences.size() < 2) {
-    data::Sentence S = Corpus.sampleSentence(Rng);
-    if (Model.classify(S.Tokens) != S.Label || S.Tokens.empty())
-      continue;
-    Sentences.push_back(S);
-  }
+  std::vector<data::Sentence> Sentences = sstPinSentences(Model);
 
   struct Pin {
     double P;
@@ -831,6 +902,73 @@ TEST(KernelEquivalence, CachedSstMarginsBitIdenticalToPreFusionRelease) {
     C.SinceMs = 0.0;
   std::string Line = Prof.toJsonLine();
   EXPECT_EQ(support::crc32(Line.data(), Line.size()), 0x754f3835u);
+}
+
+/// Per-ISA regression pins for the DeepT-Precise Eq. 6 bound: margins on
+/// the cached sst_m3 model for every norm and both pin sentences, at
+/// every ISA the host offers. Each ISA has its own reduction lane order,
+/// so each has its own bits; the values were captured before the Eq. 6
+/// partner loop moved into the EpsPairs kernel, which must reproduce the
+/// per-pair Dot bits exactly. Same recipe as the pins above, on sst_m3
+/// rather than sst_m12: there Precise costs ~3 s a margin, and each of
+/// these margins comes out bit-equal on every ISA, so its pins would not
+/// tell the lane orders apart.
+TEST(KernelEquivalence, CachedSstPreciseMarginsPinnedPerIsa) {
+  nn::TransformerModel Model;
+  if (!testhelp::loadCachedModel("sst_m3", Model))
+    GTEST_SKIP() << "cached sst_m3.dptm not found";
+  std::vector<data::Sentence> Sentences = sstPinSentences(Model);
+
+  struct Pin {
+    Isa I;
+    double P;
+    size_t Sentence;      // index into Sentences
+    std::uint64_t Margin; // expected margin bits at eps = 0.02
+  };
+  const Pin Pins[] = {
+      {Isa::Scalar, 1.0, 0, 0x401db08a23b57fd6ULL},
+      {Isa::Scalar, 1.0, 1, 0x401dd3ac3fba13a9ULL},
+      {Isa::Scalar, 2.0, 0, 0x401daec00832ae60ULL},
+      {Isa::Scalar, 2.0, 1, 0x401dd374a4f79a5bULL},
+      {Isa::Scalar, Matrix::InfNorm, 0, 0x401d9b732defb026ULL},
+      {Isa::Scalar, Matrix::InfNorm, 1, 0x401dd1be2d679c18ULL},
+      {Isa::Avx2, 1.0, 0, 0x401db08a23b57fd5ULL},
+      {Isa::Avx2, 1.0, 1, 0x401dd3ac3fba13a9ULL},
+      {Isa::Avx2, 2.0, 0, 0x401daec00832ae60ULL},
+      {Isa::Avx2, 2.0, 1, 0x401dd374a4f79a5aULL},
+      {Isa::Avx2, Matrix::InfNorm, 0, 0x401d9b732defb026ULL},
+      {Isa::Avx2, Matrix::InfNorm, 1, 0x401dd1be2d679c18ULL},
+      {Isa::Avx512, 1.0, 0, 0x401db08a23b57fd6ULL},
+      {Isa::Avx512, 1.0, 1, 0x401dd3ac3fba13a9ULL},
+      {Isa::Avx512, 2.0, 0, 0x401daec00832ae61ULL},
+      {Isa::Avx512, 2.0, 1, 0x401dd374a4f79a5bULL},
+      {Isa::Avx512, Matrix::InfNorm, 0, 0x401d9b732defb027ULL},
+      {Isa::Avx512, Matrix::InfNorm, 1, 0x401dd1be2d679c18ULL},
+  };
+  verify::VerifierConfig VC;
+  VC.NoiseReductionBudget = 600;
+  VC.Method = zono::DotMethod::Precise;
+  verify::DeepTVerifier V(Model, VC);
+  size_t Checked = 0;
+  for (const Pin &Pn : Pins) {
+    if (!tensor::isaAvailable(Pn.I))
+      continue;
+    ScopedIsa Sc(Pn.I);
+    const data::Sentence &S = Sentences[Pn.Sentence];
+    zono::Zonotope In =
+        zono::Zonotope::lpBallOnRow(Model.embed(S.Tokens), 0, Pn.P, 0.02);
+    double Margin;
+    {
+      ScopedThreads T(2);
+      Margin = V.certifyMargin(In, S.Label);
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(Margin), Pn.Margin)
+        << "precise margin drifted: isa=" << tensor::isaName(Pn.I)
+        << " p=" << Pn.P << " sentence=" << Pn.Sentence + 1 << std::hex
+        << " got=0x" << std::bit_cast<std::uint64_t>(Margin);
+    ++Checked;
+  }
+  EXPECT_GE(Checked, 6u) << "the scalar pins always run";
 }
 
 } // namespace

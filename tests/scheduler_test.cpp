@@ -328,6 +328,62 @@ TEST(Scheduler, JobQueueFromJson) {
   Rejects(R"({"jobs":[{"seed":1,"eps":-1}]})");         // bad eps
 }
 
+/// Integer fields are checked before any cast: a string, a fraction, a
+/// negative value, an out-of-range value or a label outside {0, 1}
+/// rejects the document with a message naming the field, in both the
+/// tokens and the seed form.
+TEST(Scheduler, JobQueueRejectsMalformedIntegerFields) {
+  TinySetup S;
+  struct Case {
+    const char *Doc;
+    const char *Field; // must appear in the error
+  };
+  const Case Cases[] = {
+      {R"({"jobs":[{"seed":1,"word":"3"}]})", "\"word\""},
+      {R"({"jobs":[{"seed":1,"word":-1}]})", "\"word\""},
+      {R"({"jobs":[{"seed":1,"word":1.5}]})", "\"word\""},
+      {R"({"jobs":[{"seed":1,"word":1e300}]})", "\"word\""},
+      {R"({"jobs":[{"seed":1,"word":true}]})", "\"word\""},
+      {R"({"jobs":[{"tokens":[1,2],"label":1,"word":-2}]})", "\"word\""},
+      {R"({"jobs":[{"tokens":[1,2],"label":2}]})", "\"label\""},
+      {R"({"jobs":[{"tokens":[1,2],"label":-1}]})", "\"label\""},
+      {R"({"jobs":[{"tokens":[1,2],"label":0.5}]})", "\"label\""},
+      {R"({"jobs":[{"tokens":[1,2],"label":"1"}]})", "\"label\""},
+      {R"({"jobs":[{"seed":1,"label":2}]})", "\"label\""},
+      {R"({"jobs":[{"seed":1,"label":-1}]})", "\"label\""},
+      {R"({"jobs":[{"seed":1,"label":"0"}]})", "\"label\""},
+      {R"({"jobs":[{"tokens":[1,"2"],"label":0}]})", "\"tokens\""},
+      {R"({"jobs":[{"tokens":[1,-2],"label":0}]})", "\"tokens\""},
+      {R"({"jobs":[{"tokens":[1,2.5],"label":0}]})", "\"tokens\""},
+      {R"({"jobs":[{"tokens":[1e300],"label":0}]})", "\"tokens\""},
+      {R"({"jobs":[{"seed":-1}]})", "\"seed\""},
+      {R"({"jobs":[{"seed":"7"}]})", "\"seed\""},
+  };
+  for (const Case &C : Cases) {
+    support::JsonValue Doc;
+    ASSERT_TRUE(support::parseJson(C.Doc, Doc)) << C.Doc;
+    JobQueue Q;
+    std::string Err;
+    EXPECT_FALSE(JobQueue::fromJson(Doc, &S.Corpus, Q, &Err)) << C.Doc;
+    EXPECT_NE(Err.find(C.Field), std::string::npos)
+        << C.Doc << " -> " << Err;
+    EXPECT_NE(Err.find("job 0"), std::string::npos) << Err;
+  }
+  // The boundary values still parse: word 0, labels 0 and 1, token 0.
+  support::JsonValue Doc;
+  ASSERT_TRUE(support::parseJson(
+      R"({"jobs":[{"tokens":[0,2],"label":0,"word":1},)"
+      R"({"seed":3,"label":1,"word":0}]})",
+      Doc));
+  JobQueue Q;
+  std::string Err;
+  ASSERT_TRUE(JobQueue::fromJson(Doc, &S.Corpus, Q, &Err)) << Err;
+  EXPECT_EQ(Q.spec(0).Word, 1u);
+  EXPECT_EQ(Q.spec(0).TrueClass, 0u);
+  EXPECT_EQ(Q.spec(0).Tokens[0], 0u);
+  EXPECT_EQ(Q.spec(1).TrueClass, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Crash-safe store recovery
 //===----------------------------------------------------------------------===//

@@ -238,10 +238,12 @@ stage_simd() {
   # The whole-plane fused coefficient oracle under ASan, dispatched from
   # each drilled table: the packed shared-panel scratch, the hoisted zero
   # flags and the paired-row loops must be memory-clean and 0-ULP equal to
-  # the per-plane references.
+  # the per-plane references; so must the Eq. 6 partner kernel, whose
+  # vector loads reach into the panel padding.
   local FusedFilter='KernelEquivalence.DotPlanesFused*'
   FusedFilter+=':KernelEquivalence.DotTransposedB*'
   FusedFilter+=':KernelEquivalence.DotRows*:KernelEquivalence.RowScale*'
+  FusedFilter+=':KernelEquivalence.EpsPairs*'
   for Isa in "${Isas[@]}"; do
     DEEPT_ISA=$Isa "$ROOT/build-ci/asan/tests/deept_tests" \
         --gtest_filter="$FusedFilter"
