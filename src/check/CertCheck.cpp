@@ -184,7 +184,7 @@ CertificateSummary check::checkCertificate(std::string_view Line) {
   S.Method = getString(Payload, "method");
   S.Norm = getString(Payload, "norm");
   S.Precision = getString(Payload, "precision");
-  if (S.Precision != "f64" && S.Precision != "f32")
+  if (S.Precision != "f64")
     corrupt("unknown precision '" + S.Precision + "'");
   S.P = getNumber(Payload, "p");
   S.TrueClass = getCount(Payload, "true_class");
@@ -310,14 +310,10 @@ CertificateSummary check::checkCertificate(std::string_view Line) {
     unsound("recorded ||alpha||_q is below the replayed norm");
   if (Nb < NB.Lo)
     unsound("recorded ||beta||_1 is below the replayed norm");
-  // f32 runs record the soundly lifted (larger) norms; only f64 pins the
-  // upper side to the directed replay of the same accumulation.
-  if (S.Precision == "f64") {
-    if (Na > NA.Hi)
-      unsound("recorded ||alpha||_q is above the replayed norm");
-    if (Nb > NB.Hi)
-      unsound("recorded ||beta||_1 is above the replayed norm");
-  }
+  if (Na > NA.Hi)
+    unsound("recorded ||alpha||_q is above the replayed norm");
+  if (Nb > NB.Hi)
+    unsound("recorded ||beta||_1 is above the replayed norm");
   if (!loEnclosure(Center, Na, Nb).contains(Lo))
     unsound("margin lower bound does not replay from the recorded norms");
   if (!hiEnclosure(Center, Na, Nb).contains(Hi))

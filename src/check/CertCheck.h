@@ -30,11 +30,6 @@
 /// the network (that is the producer's propagation, which the checker by
 /// design does not re-run).
 ///
-/// f32 certificates: the producer's single-precision norms are soundly
-/// lifted upward, so the replay drops the upper-side norm check (na <=
-/// up(||alpha||_q)) for precision "f32" and keeps every lower-side and
-/// chain check.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DEEPT_CHECK_CERTCHECK_H

@@ -33,8 +33,6 @@
 #ifndef DEEPT_SUPPORT_PARALLEL_H
 #define DEEPT_SUPPORT_PARALLEL_H
 
-#include "support/Fp.h"
-
 #include <algorithm>
 #include <cstddef>
 #include <string>
@@ -97,12 +95,7 @@ void parallelFor(size_t Begin, size_t End, size_t Grain, FnT &&Fn) {
   if (Grain == 0)
     Grain = 1;
   size_t NumChunks = (End - Begin + Grain - 1) / Grain;
-  // Thread-local state the submitting thread expects inside Fn must be
-  // re-established on the pool workers: capture the caller's precision
-  // mode and scope it around every chunk (a no-op store in F64 mode).
-  const FpPrecision CallerFp = fpPrecision();
   auto RunChunk = [&](size_t Chunk) {
-    FpScope Scope(CallerFp);
     size_t B = Begin + Chunk * Grain;
     size_t E = std::min(End, B + Grain);
     Fn(B, E);

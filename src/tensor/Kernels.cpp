@@ -129,23 +129,6 @@ void scalarAccMaxAbs(const double *X, double *Acc, size_t N) {
     Acc[I] = std::max(Acc[I], std::fabs(X[I]));
 }
 
-void scalarAccAbsF32(const double *X, float *Acc, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    Acc[I] += static_cast<float>(std::fabs(X[I]));
-}
-
-void scalarAccSqF32(const double *X, float *Acc, size_t N) {
-  for (size_t I = 0; I < N; ++I) {
-    float V = static_cast<float>(X[I]);
-    Acc[I] += V * V;
-  }
-}
-
-void scalarAccMaxAbsF32(const double *X, float *Acc, size_t N) {
-  for (size_t I = 0; I < N; ++I)
-    Acc[I] = std::max(Acc[I], static_cast<float>(std::fabs(X[I])));
-}
-
 void scalarRowSums(const double *X, size_t R, size_t C, double *O) {
   for (size_t Q = 0; Q < R; ++Q)
     O[Q] = scalarSum(X + Q * C, C);
@@ -284,7 +267,6 @@ constexpr Kernels ScalarKernels = {
     Isa::Scalar,          /*Lanes=*/1,       scalarDot,
     scalarSum,            scalarAxpy,        scalarSubScale,
     scalarAccAbs,         scalarAccSq,       scalarAccMaxAbs,
-    scalarAccAbsF32,      scalarAccSqF32,    scalarAccMaxAbsF32,
     scalarRowSums,        scalarAxpy4K,      scalarCascadeDense,
     scalarDotPlanesTransposedB,              scalarRowScale,
     scalarEpsPairs,

@@ -26,12 +26,6 @@
 /// kernels are elementwise (one fixed rounding sequence per element, no
 /// reassociation) and produce identical bits on every ISA.
 ///
-/// The F32 accumulator variants (AccAbsF32 / AccSqF32 / AccMaxAbsF32)
-/// back the sound reduced-precision mode: they accumulate into float, and
-/// the caller converts back with an upward correction covering every
-/// rounding the narrow accumulation could have committed (see DESIGN.md
-/// "SIMD execution layer" for the soundness argument).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef DEEPT_TENSOR_KERNELS_H
@@ -78,11 +72,6 @@ struct Kernels {
   void (*AccAbs)(const double *X, double *Acc, size_t N);
   void (*AccSq)(const double *X, double *Acc, size_t N);
   void (*AccMaxAbs)(const double *X, double *Acc, size_t N);
-
-  /// Float-accumulator variants for the sound reduced-precision mode.
-  void (*AccAbsF32)(const double *X, float *Acc, size_t N);
-  void (*AccSqF32)(const double *X, float *Acc, size_t N);
-  void (*AccMaxAbsF32)(const double *X, float *Acc, size_t N);
 
   /// O[q] = Sum(X + q * C, C) for q in 0..R-1: one dispatch for a whole
   /// block of short rows. Bit-identical to calling Sum per row -- the
@@ -224,33 +213,6 @@ double dotLanes(const double *X, const double *Y, size_t N, size_t Lanes);
 
 /// Lane-ordered plain-add sum with the same reduction order.
 double sumLanes(const double *X, size_t N, size_t Lanes);
-
-/// Upward-corrected lift of a float accumulator holding the sum of
-/// \p Terms nonnegative terms back to double. Every error the narrow
-/// accumulation can commit is covered:
-///  - each double->float conversion and each float add rounds to nearest
-///    with relative error <= 2^-24, so after Terms adds the computed sum
-///    is >= true / (1 + Terms * 2^-23); the (Terms + 8) * 2^-23 blowup
-///    strictly dominates that (and the +8 covers the lane-reassociation
-///    slack of the SIMD accumulators);
-///  - a term too small for a float subnormal (< ~7e-46) flushes to zero;
-///    the absolute Terms * 1e-38 tail over-covers every such loss;
-///  - overflow saturates to +inf, which is trivially an upper bound.
-/// The result therefore upper-bounds both the true sum and what the f64
-/// kernels would have computed, which is what makes the f32 interval
-/// enclose the f64 interval (DESIGN.md "SIMD execution layer").
-inline double f32SumUpper(float Acc, size_t Terms) {
-  return static_cast<double>(Acc) *
-             (1.0 + static_cast<double>(Terms + 8) * 0x1p-23) +
-         static_cast<double>(Terms) * 1e-38;
-}
-
-/// Upward-corrected lift of a float running max: only the per-element
-/// double->float conversion rounds (<= 2^-24 relative), plus the
-/// subnormal-flush absolute tail.
-inline double f32MaxUpper(float Acc) {
-  return static_cast<double>(Acc) * (1.0 + 0x1p-23) + 1e-38;
-}
 
 } // namespace detail
 

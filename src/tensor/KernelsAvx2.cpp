@@ -19,7 +19,6 @@ namespace {
 struct V {
   static constexpr size_t Lanes = 4;
   using Reg = __m256d;
-  using RegF = __m128;
 
   static Reg zero() { return _mm256_setzero_pd(); }
   static Reg set1(double X) { return _mm256_set1_pd(X); }
@@ -40,13 +39,6 @@ struct V {
     __m128d S = _mm_add_pd(Lo, Hi); // (l0+l2, l1+l3)
     return _mm_cvtsd_f64(S) + _mm_cvtsd_f64(_mm_unpackhi_pd(S, S));
   }
-
-  static RegF cvt(Reg X) { return _mm256_cvtpd_ps(X); }
-  static RegF loadf(const float *P) { return _mm_loadu_ps(P); }
-  static void storef(float *P, RegF X) { _mm_storeu_ps(P, X); }
-  static RegF addf(RegF A, RegF B) { return _mm_add_ps(A, B); }
-  static RegF mulf(RegF A, RegF B) { return _mm_mul_ps(A, B); }
-  static RegF maxf(RegF A, RegF B) { return _mm_max_ps(A, B); }
 };
 
 } // namespace

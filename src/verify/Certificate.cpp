@@ -3,7 +3,6 @@
 #include "verify/Certificate.h"
 
 #include "support/Crc.h"
-#include "support/Fp.h"
 #include "support/Json.h"
 #include "support/Parallel.h"
 #include "tensor/Kernels.h"
@@ -43,7 +42,6 @@ void CertificateBuilder::onRunBegin(const RunInfo &Info,
   Data.ModelLayers = Info.Layers;
   Data.ModelEmbed = Info.Embed;
   Data.ModelHeads = Info.Heads;
-  Data.Precision = support::fpPrecisionName(support::fpPrecision());
   Data.Checkpoints.clear();
   Data.Margin = CertMargin();
   Matrix Lo, Hi;
@@ -114,9 +112,7 @@ void CertificateBuilder::onMargin(const zono::Zonotope &Margin,
     }
   }
   // The producer norms the verdict consumed: the same kernels radii()
-  // runs, so the values are bit-identical to the bounds() inputs (f32
-  // mode: the soundly lifted values, which can only exceed the true
-  // norms).
+  // runs, so the values are bit-identical to the bounds() inputs.
   M.AlphaNorm = Margin.phiColumnDualNorms().at(0, 0);
   M.BetaNorm = Margin.epsColumnDualNorms(1.0).at(0, 0);
   M.Lo = Lo;
@@ -128,8 +124,7 @@ std::string CertificateData::payloadJson() const {
   std::string Out = "{\"v\":1,\"query\":\"" + jsonEscape(Query) +
                     "\",\"kind\":\"" + jsonEscape(Kind) + "\",\"method\":\"" +
                     jsonEscape(Method) + "\",\"norm\":\"" + jsonEscape(Norm) +
-                    "\",\"precision\":\"" + jsonEscape(Precision) +
-                    "\",\"p\":" + jsonNumber(P) +
+                    "\",\"precision\":\"f64\",\"p\":" + jsonNumber(P) +
                     ",\"true_class\":" + std::to_string(TrueClass) +
                     ",\"model\":{\"layers\":" + std::to_string(ModelLayers) +
                     ",\"embed\":" + std::to_string(ModelEmbed) +

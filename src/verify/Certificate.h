@@ -81,7 +81,7 @@ struct CertMargin {
   /// zeros of Zero blocks so indices stay aligned with the symbol space).
   std::vector<double> Alpha, Beta;
   /// Producer dual norms ||Alpha||_q and ||Beta||_1 -- the values
-  /// bounds() consumed (f32 mode records the soundly lifted values).
+  /// bounds() consumed.
   double AlphaNorm = 0.0, BetaNorm = 0.0;
   /// lo/hi = Center -/+ (AlphaNorm + BetaNorm) as bounds() computed them.
   double Lo = 0.0, Hi = 0.0;
@@ -97,8 +97,6 @@ struct CertificateData {
   std::string Kind = "deept";
   std::string Method = "fast";
   std::string Norm = "l2";
-  /// Kernel precision of the run that produced the recorded values.
-  std::string Precision = "f64";
   double P = 2.0;
   size_t TrueClass = 0;
   size_t ModelLayers = 0, ModelEmbed = 0, ModelHeads = 0;
@@ -107,7 +105,8 @@ struct CertificateData {
   std::vector<CertCheckpoint> Checkpoints;
   CertMargin Margin;
 
-  /// The compact payload object (no whitespace, fixed member order).
+  /// The compact payload object (no whitespace, fixed member order). Its
+  /// "precision" member is always "f64", the only kernel precision.
   std::string payloadJson() const;
 
   /// The full single-line envelope with the payload CRC. No trailing
@@ -116,16 +115,14 @@ struct CertificateData {
 };
 
 /// The recording observer. One builder serves one margin computation at
-/// a time: onRunBegin resets the measurements, so under f32->f64
-/// escalation the final run wins.
+/// a time: onRunBegin resets the measurements.
 class CertificateBuilder : public Observer {
 public:
   CertificateData Data;
 
   /// Starts a new recording run: keeps the caller metadata
-  /// (Query/Method/Norm/P), stamps the verifier kind, the active kernel
-  /// precision and the model dimensions, and records the concretization
-  /// of the input region.
+  /// (Query/Method/Norm/P), stamps the verifier kind and the model
+  /// dimensions, and records the concretization of the input region.
   void onRunBegin(const RunInfo &Info, const zono::Zonotope &Input) override;
 
   /// Records one propagation checkpoint.

@@ -228,29 +228,6 @@ Zonotope DeepTVerifier::propagate(const Zonotope &InputEmb) const {
 
 double DeepTVerifier::certifyMargin(const Zonotope &InputEmb,
                                     size_t TrueClass) const {
-  if (Config.Precision == support::FpPrecision::F64)
-    return certifyMarginImpl(InputEmb, TrueClass);
-  // F32 mode: run the propagation with single-precision dual-norm
-  // accumulation (soundly widened, so the margin can only shrink). A
-  // non-positive margin may be the widening rather than a real
-  // falsification, so escalate that query back to full precision -- the
-  // returned verdict is then always F64-backed on the falsify side,
-  // while certified verdicts carry the f32 upper-bound guarantee.
-  auto &MR = support::Metrics::global();
-  MR.counter("prec.f32_jobs").add(1.0);
-  double M32;
-  {
-    support::FpScope Scope(support::FpPrecision::F32);
-    M32 = certifyMarginImpl(InputEmb, TrueClass);
-  }
-  if (M32 > 0.0)
-    return M32;
-  MR.counter("prec.escalations").add(1.0);
-  return certifyMarginImpl(InputEmb, TrueClass);
-}
-
-double DeepTVerifier::certifyMarginImpl(const Zonotope &InputEmb,
-                                        size_t TrueClass) const {
   assert(TrueClass < 2 && "binary classification");
   RunInfo Info;
   Info.TrueClass = TrueClass;

@@ -25,7 +25,6 @@
 
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
-#include "support/Fp.h"
 #include "verify/Observer.h"
 #include "zono/DotProduct.h"
 #include "zono/Softmax.h"
@@ -60,13 +59,6 @@ struct VerifierConfig {
   /// proof certificates, the scheduler's deadline and flight recorder.
   /// Empty by default; observation never changes the margin.
   ObserverList Observers;
-  /// Kernel precision for the dual-norm reductions (see support/Fp.h).
-  /// F32 accumulates coefficient magnitudes in single precision with a
-  /// sound upward lift -- the certified margin can only shrink, never
-  /// grow -- and certifyMargin() automatically escalates a query back to
-  /// F64 when the widened bound would flip the verdict to "not certified"
-  /// (counted by the prec.escalations metric). F64 is the default.
-  support::FpPrecision Precision = support::FpPrecision::F64;
 };
 
 /// The DeepT verifier over a fixed Transformer model.
@@ -86,7 +78,8 @@ public:
   Zonotope propagate(const Zonotope &InputEmb) const;
 
   /// Lower bound of logits[TrueClass] - logits[1 - TrueClass] over the
-  /// input region; robustness is proven when it is positive.
+  /// input region; robustness is proven when it is positive. Each call is
+  /// one observer run (onRunBegin ... onRunEnd).
   double certifyMargin(const Zonotope &InputEmb, size_t TrueClass) const;
 
   /// Threat model T1: the embedding of \p Word (position index) is
@@ -106,10 +99,6 @@ public:
                       const data::Sentence &S) const;
 
 private:
-  /// The margin computation proper; certifyMargin() wraps it in the
-  /// configured precision scope and handles the F32 -> F64 escalation.
-  double certifyMarginImpl(const Zonotope &InputEmb, size_t TrueClass) const;
-
   const nn::TransformerModel &Model;
   VerifierConfig Config;
 };

@@ -20,9 +20,7 @@
 ///     onMargin(...)
 ///   onRunEnd()
 ///
-/// One run is one margin computation. Under F32 -> F64 escalation
-/// certifyMargin() makes two complete runs, so the final
-/// (verdict-determining) run is always the last one an observer saw.
+/// One run is one margin computation; certifyMargin() makes exactly one.
 /// onRunEnd() is delivered on every exit path, including an exception
 /// thrown by another observer's hook or by the soundness check, so
 /// per-run thread-local state (the provenance session of a profile) never

@@ -259,14 +259,19 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
                             "combined, crown-baf or crown-backward)");
     }
     if (const support::JsonValue *V = J.find("deadline_ms")) {
-      if (V->K != support::JsonValue::Kind::Number)
-        return Fail(Where + ": \"deadline_ms\" must be a number");
-      S.DeadlineMs = static_cast<int64_t>(V->NumberVal);
+      // -1 inherits the batch default; anything else is a whole number
+      // of milliseconds.
+      bool Inherit =
+          V->K == support::JsonValue::Kind::Number && V->NumberVal == -1.0;
+      if (!Inherit && !wholeNumber(*V, MaxExactInt, Whole))
+        return Fail(Where + ": \"deadline_ms\" must be -1 or a "
+                            "non-negative integer");
+      S.DeadlineMs = Inherit ? -1 : static_cast<int64_t>(Whole);
     }
     if (const support::JsonValue *V = J.find("budget")) {
-      if (V->K != support::JsonValue::Kind::Number || V->NumberVal < 0)
-        return Fail(Where + ": \"budget\" must be a non-negative number");
-      S.NoiseReductionBudget = static_cast<size_t>(V->NumberVal);
+      if (!wholeNumber(*V, MaxExactInt, Whole))
+        return Fail(Where + ": \"budget\" must be a non-negative integer");
+      S.NoiseReductionBudget = static_cast<size_t>(Whole);
     }
     Out.push(std::move(S));
   }

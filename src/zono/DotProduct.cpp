@@ -2,7 +2,6 @@
 
 #include "zono/DotProduct.h"
 
-#include "support/Fp.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Trace.h"
@@ -36,31 +35,6 @@ Matrix perVarSymbolNorms(const Matrix &Coeffs, double Q, size_t M, size_t D) {
               [&](size_t V0, size_t V1) {
     const tensor::Kernels &K = tensor::kernels();
     size_t W = V1 - V0;
-    if (support::fpPrecision() == support::FpPrecision::F32) {
-      // Single-precision accumulation with the sound upward lift; the
-      // lifted values upper-bound the f64 results per variable (see
-      // tensor::detail::f32SumUpper).
-      std::vector<float> FAcc(W, 0.0f);
-      for (size_t S = 0; S < NumS; ++S) {
-        const double *Row = Coeffs.rowPtr(S) + V0;
-        if (Q == 1.0)
-          K.AccAbsF32(Row, FAcc.data(), W);
-        else if (Q == 2.0)
-          K.AccSqF32(Row, FAcc.data(), W);
-        else
-          K.AccMaxAbsF32(Row, FAcc.data(), W);
-      }
-      for (size_t V = V0; V < V1; ++V) {
-        if (Q == Matrix::InfNorm)
-          O[V] = tensor::detail::f32MaxUpper(FAcc[V - V0]);
-        else
-          O[V] = tensor::detail::f32SumUpper(FAcc[V - V0], NumS);
-      }
-      if (Q == 2.0)
-        for (size_t V = V0; V < V1; ++V)
-          O[V] = std::sqrt(O[V]);
-      return;
-    }
     for (size_t S = 0; S < NumS; ++S) {
       const double *Row = Coeffs.rowPtr(S) + V0;
       if (Q == 1.0)

@@ -4,7 +4,6 @@
 
 #include "zono/Provenance.h"
 
-#include "support/Fp.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
@@ -25,49 +24,15 @@ using tensor::dualExponent;
 namespace {
 
 /// Accumulates, per variable (column), the dual-norm of the coefficient
-/// columns of \p Coeffs into [V0, V1) of \p O in single precision with the
-/// sound upward lift (the opt-in f32 mode; see tensor::detail::f32SumUpper).
-/// \p O must be zero on entry for sum norms.
-void dualNormsF32Range(const Matrix &Coeffs, double Q, double *O, size_t V0,
-                       size_t V1) {
-  const tensor::Kernels &K = tensor::kernels();
-  size_t NumS = Coeffs.rows(), W = V1 - V0;
-  std::vector<float> FAcc(W, 0.0f);
-  if (Q == 1.0) {
-    for (size_t S = 0; S < NumS; ++S)
-      K.AccAbsF32(Coeffs.rowPtr(S) + V0, FAcc.data(), W);
-    for (size_t V = V0; V < V1; ++V)
-      O[V] = tensor::detail::f32SumUpper(FAcc[V - V0], NumS);
-    return;
-  }
-  if (Q == 2.0) {
-    for (size_t S = 0; S < NumS; ++S)
-      K.AccSqF32(Coeffs.rowPtr(S) + V0, FAcc.data(), W);
-    for (size_t V = V0; V < V1; ++V)
-      O[V] = std::sqrt(tensor::detail::f32SumUpper(FAcc[V - V0], NumS));
-    return;
-  }
-  assert(Q == Matrix::InfNorm && "unsupported dual exponent");
-  for (size_t S = 0; S < NumS; ++S)
-    K.AccMaxAbsF32(Coeffs.rowPtr(S) + V0, FAcc.data(), W);
-  for (size_t V = V0; V < V1; ++V)
-    O[V] = tensor::detail::f32MaxUpper(FAcc[V - V0]);
-}
-
-/// Accumulates, per variable (column), the dual-norm of the coefficient
 /// columns of \p Coeffs. Q follows Matrix::InfNorm conventions. Parallel
 /// over variable ranges; each variable accumulates its symbol axis in
-/// ascending order, so results are thread-count independent. In f32 mode
-/// (support::fpPrecision()) the accumulation runs in single precision with
-/// the sound upward lift.
+/// ascending order, so results are thread-count independent.
 Matrix columnDualNorms(const Matrix &Coeffs, double Q, size_t NumVars) {
   Matrix Out(1, NumVars, 0.0);
   double *O = Out.data();
   size_t NumS = Coeffs.rows();
   parallelFor(0, NumVars, support::reductionGrain(NumVars),
               [&](size_t V0, size_t V1) {
-    if (support::fpPrecision() == support::FpPrecision::F32)
-      return dualNormsF32Range(Coeffs, Q, O, V0, V1);
     const tensor::Kernels &K = tensor::kernels();
     if (Q == 1.0) {
       for (size_t S = 0; S < NumS; ++S)
@@ -334,32 +299,6 @@ Matrix Zonotope::epsColumnDualNorms(double Q) const {
       return;
     parallelFor(0, N, support::reductionGrain(N), [&](size_t V0, size_t V1) {
       const tensor::Kernels &K = tensor::kernels();
-      if (support::fpPrecision() == support::FpPrecision::F32) {
-        // Per-block f32 accumulation, lifted upward before joining the
-        // cross-block double accumulator: each block contributes an upper
-        // bound of its f64 contribution, so the total stays an upper
-        // bound of the f64 result.
-        size_t W = V1 - V0;
-        std::vector<float> FAcc(W, 0.0f);
-        if (Q == 1.0) {
-          for (size_t S = 0; S < NumS; ++S)
-            K.AccAbsF32(Blk.rowPtr(S) + V0, FAcc.data(), W);
-          for (size_t V = V0; V < V1; ++V)
-            O[V] += tensor::detail::f32SumUpper(FAcc[V - V0], NumS);
-        } else if (Q == 2.0) {
-          for (size_t S = 0; S < NumS; ++S)
-            K.AccSqF32(Blk.rowPtr(S) + V0, FAcc.data(), W);
-          for (size_t V = V0; V < V1; ++V)
-            O[V] += tensor::detail::f32SumUpper(FAcc[V - V0], NumS);
-        } else {
-          assert(Q == Matrix::InfNorm && "unsupported dual exponent");
-          for (size_t S = 0; S < NumS; ++S)
-            K.AccMaxAbsF32(Blk.rowPtr(S) + V0, FAcc.data(), W);
-          for (size_t V = V0; V < V1; ++V)
-            O[V] = std::max(O[V], tensor::detail::f32MaxUpper(FAcc[V - V0]));
-        }
-        return;
-      }
       if (Q == 1.0) {
         for (size_t S = 0; S < NumS; ++S)
           K.AccAbs(Blk.rowPtr(S) + V0, O + V0, V1 - V0);

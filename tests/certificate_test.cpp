@@ -18,9 +18,9 @@
 #include "data/SyntheticCorpus.h"
 #include "nn/FeedForwardNet.h"
 #include "nn/Transformer.h"
+#include "support/Crc.h"
 #include "support/Error.h"
 #include "support/Fault.h"
-#include "support/Fp.h"
 #include "support/Metrics.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
@@ -72,16 +72,13 @@ struct TinySetup {
 };
 
 /// One recorded DeepT run on the tiny model (small eps, certified).
-CertificateData recordedRun(const TinySetup &S, double Eps = 1e-3,
-                            support::FpPrecision Precision =
-                                support::FpPrecision::F64) {
+CertificateData recordedRun(const TinySetup &S, double Eps = 1e-3) {
   CertificateBuilder Cert;
   Cert.Data.Query = "test-q";
   Cert.Data.Norm = "l2";
   Cert.Data.P = 2.0;
   verify::VerifierConfig VC;
   VC.NoiseReductionBudget = 128;
-  VC.Precision = Precision;
   VC.Observers = {&Cert};
   verify::DeepTVerifier V(S.Model, VC);
   Matrix X = S.Model.embed(S.Sent.Tokens);
@@ -168,18 +165,6 @@ TEST(Certificate, DeepTRunReplays) {
             check::semanticDigest(check::checkCertificate(Data.toJson())));
 }
 
-TEST(Certificate, F32RunReplays) {
-  TinySetup S;
-  CertificateData Data = recordedRun(S, 1e-3, support::FpPrecision::F32);
-  check::CertificateSummary Sum =
-      check::checkCertificate(Data.toJson());
-  // If the f32 run certified without escalation, the certificate records
-  // the lifted single-precision norms; an escalated query records its
-  // final f64 run instead. Either way the artifact must replay.
-  EXPECT_EQ(Sum.Precision, Data.Precision);
-  EXPECT_TRUE(Sum.Certified);
-}
-
 TEST(Certificate, FeedForwardRunReplays) {
   support::Rng Rng(0xfeed);
   nn::FeedForwardNet Net = nn::FeedForwardNet::init({6, 10, 8, 2}, Rng);
@@ -246,6 +231,18 @@ TEST(CertificateCorpus, BitFlipInPayloadRejectedByCrc) {
     Bad[PayloadStart + Off] ^= 0x01;
     expectReject(Bad, ErrorCode::StoreCorrupt, "payload bit flip");
   }
+  // An edit under a recomputed CRC passes the CRC and must still be
+  // StoreCorrupt when the schema rejects it: "f32" is no kernel precision
+  // any producer writes, and the checker replays only f64 norms.
+  std::string Payload =
+      Line.substr(PayloadStart, Line.size() - 1 - PayloadStart);
+  size_t At = Payload.find("\"precision\":\"f64\"");
+  ASSERT_NE(At, std::string::npos);
+  Payload.replace(At + 13, 3, "f32");
+  uint32_t Crc = support::crc32(Payload.data(), Payload.size());
+  std::string Forged = Line.substr(0, Line.find("\"crc32\":") + 8) +
+                       std::to_string(Crc) + ",\"payload\":" + Payload + "}";
+  expectReject(Forged, ErrorCode::StoreCorrupt, "f32 precision");
 }
 
 TEST(CertificateCorpus, TamperedAlphaNormRejected) {

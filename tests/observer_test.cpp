@@ -2,8 +2,8 @@
 //
 // The protocol both verifiers deliver to a verify::Observer (see
 // verify/Observer.h): call order on DeepT and on the feed-forward
-// verifier, two complete runs under F32 -> F64 escalation, onRunEnd on
-// the exception path (with the profile's thread-local provenance session
+// verifier, one run per margin computation, onRunEnd on the exception
+// path (with the profile's thread-local provenance session
 // removed), and the shared soundness check at the first checkpoint.
 //
 //===----------------------------------------------------------------------===//
@@ -12,7 +12,6 @@
 #include "nn/FeedForwardNet.h"
 #include "nn/Transformer.h"
 #include "support/Error.h"
-#include "support/Fp.h"
 #include "support/Rng.h"
 #include "verify/DeepT.h"
 #include "verify/FeedForwardVerifier.h"
@@ -149,29 +148,18 @@ TEST(Observer, DeepTCallOrderMatchesTheProfile) {
   EXPECT_EQ(verify::DeepTVerifier(S.Model, VC)
                 .certifyMargin(S.input(0.05), S.Sent.Label),
             M);
-}
 
-TEST(Observer, F32EscalationGivesTwoCompleteRuns) {
-  TinySetup S;
-  Recording Rec;
-  verify::VerifierConfig VC;
-  VC.NoiseReductionBudget = 128;
-  VC.Precision = support::FpPrecision::F32;
-  VC.Observers = {&Rec};
-  // Far past the tiny model's radius: the f32 run falsifies, so the
-  // query escalates to a full f64 run.
-  double M = verify::DeepTVerifier(S.Model, VC)
-                 .certifyMargin(S.input(5.0), S.Sent.Label);
-  EXPECT_LE(M, 0.0);
-  ASSERT_EQ(Rec.Calls.size() % 2, 0u);
-  std::vector<std::string> First(Rec.Calls.begin(),
-                                 Rec.Calls.begin() + Rec.Calls.size() / 2);
-  std::vector<std::string> Second(Rec.Calls.begin() + Rec.Calls.size() / 2,
-                                  Rec.Calls.end());
-  EXPECT_EQ(First, Second);
-  EXPECT_EQ(First.front(), "begin");
-  EXPECT_EQ(First.back(), "end");
-  EXPECT_EQ(Rec.MarginLo, M); // the last run is the verdict's
+  // A falsified margin is one run as well: far past the tiny model's
+  // radius, the observer sees one begin ... end and the returned margin.
+  Recording Far;
+  VC.Observers = {&Far};
+  double MFar = verify::DeepTVerifier(S.Model, VC)
+                    .certifyMargin(S.input(5.0), S.Sent.Label);
+  EXPECT_LE(MFar, 0.0);
+  EXPECT_EQ(std::count(Far.Calls.begin(), Far.Calls.end(), "begin"), 1);
+  EXPECT_EQ(std::count(Far.Calls.begin(), Far.Calls.end(), "end"), 1);
+  EXPECT_EQ(Far.Calls.back(), "end");
+  EXPECT_EQ(Far.MarginLo, MFar);
 }
 
 TEST(Observer, ThrowingObserverStillEndsTheRun) {

@@ -358,6 +358,16 @@ TEST(Scheduler, JobQueueRejectsMalformedIntegerFields) {
       {R"({"jobs":[{"tokens":[1e300],"label":0}]})", "\"tokens\""},
       {R"({"jobs":[{"seed":-1}]})", "\"seed\""},
       {R"({"jobs":[{"seed":"7"}]})", "\"seed\""},
+      {R"({"jobs":[{"seed":1,"budget":1e300}]})", "\"budget\""},
+      {R"({"jobs":[{"seed":1,"budget":-5e300}]})", "\"budget\""},
+      {R"({"jobs":[{"seed":1,"budget":1.5}]})", "\"budget\""},
+      {R"({"jobs":[{"seed":1,"budget":-2}]})", "\"budget\""},
+      {R"({"jobs":[{"seed":1,"budget":"5"}]})", "\"budget\""},
+      {R"({"jobs":[{"seed":1,"deadline_ms":1e300}]})", "\"deadline_ms\""},
+      {R"({"jobs":[{"seed":1,"deadline_ms":-5e300}]})", "\"deadline_ms\""},
+      {R"({"jobs":[{"seed":1,"deadline_ms":1.5}]})", "\"deadline_ms\""},
+      {R"({"jobs":[{"seed":1,"deadline_ms":-2}]})", "\"deadline_ms\""},
+      {R"({"jobs":[{"seed":1,"deadline_ms":"5"}]})", "\"deadline_ms\""},
   };
   for (const Case &C : Cases) {
     support::JsonValue Doc;
@@ -369,11 +379,12 @@ TEST(Scheduler, JobQueueRejectsMalformedIntegerFields) {
         << C.Doc << " -> " << Err;
     EXPECT_NE(Err.find("job 0"), std::string::npos) << Err;
   }
-  // The boundary values still parse: word 0, labels 0 and 1, token 0.
+  // The boundary values still parse: word 0, labels 0 and 1, token 0,
+  // deadline_ms -1 (inherit) and 0 (expire at once), budget 0.
   support::JsonValue Doc;
   ASSERT_TRUE(support::parseJson(
-      R"({"jobs":[{"tokens":[0,2],"label":0,"word":1},)"
-      R"({"seed":3,"label":1,"word":0}]})",
+      R"({"jobs":[{"tokens":[0,2],"label":0,"word":1,"deadline_ms":-1},)"
+      R"({"seed":3,"label":1,"word":0,"deadline_ms":0,"budget":0}]})",
       Doc));
   JobQueue Q;
   std::string Err;
@@ -381,7 +392,10 @@ TEST(Scheduler, JobQueueRejectsMalformedIntegerFields) {
   EXPECT_EQ(Q.spec(0).Word, 1u);
   EXPECT_EQ(Q.spec(0).TrueClass, 0u);
   EXPECT_EQ(Q.spec(0).Tokens[0], 0u);
+  EXPECT_EQ(Q.spec(0).DeadlineMs, -1);
   EXPECT_EQ(Q.spec(1).TrueClass, 1u);
+  EXPECT_EQ(Q.spec(1).DeadlineMs, 0);
+  EXPECT_EQ(Q.spec(1).NoiseReductionBudget, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -166,7 +166,9 @@ endif()
 # Drill 8: flag values are parsed strictly and checked before any work.
 # Each input below used to exit 0 having done nothing useful, crash
 # (SIGFPE, assert), or loop forever; each must now be a typed bad
-# argument (exit class 2) within the timeout.
+# argument (exit class 2) within the timeout. The last case is the flag
+# of the removed f32 precision mode: a script that still passes it must
+# fail, not silently run in f64.
 set(BadValueCases
     "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--cert-dir"
     "certify|--model|${Model}|--sentences|abc"
@@ -178,7 +180,8 @@ set(BadValueCases
     "attack|--model|${Model}|--word|20"
     "certify|--model|${Model}|--norm|l3|--verifier|bogus"
     "certify|--model|${Model}|--verifier|bogus"
-    "attack|--model|${Model}|--norm|l3")
+    "attack|--model|${Model}|--norm|l3"
+    "certify|--model|${Model}|--precision|f32")
 foreach(Case IN LISTS BadValueCases)
   string(REPLACE "|" ";" CaseArgs "${Case}")
   execute_process(

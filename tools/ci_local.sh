@@ -52,7 +52,7 @@ ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
 ROBUSTNESS_FILTER+=':Scheduler.Transient*:Scheduler.Retry*'
 ROBUSTNESS_FILTER+=':Scheduler.Permanent*:Scheduler.OutOfMemory*'
 ROBUSTNESS_FILTER+=':Scheduler.RecordCrc*:HeapPolicy.*'
-SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*:F32Soundness.*'
+SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*'
 SIMD_FILTER+=':TiledGemm.*:Determinism.*:Refinement.*'
 
 configure() { # dir, extra cmake args...
@@ -192,7 +192,7 @@ EOF
 }
 
 stage_simd() {
-  echo "== simd: kernel equivalence across ISAs + sound f32 mode =="
+  echo "== simd: kernel equivalence across ISAs + fused-plane ASan oracle =="
   configure "$ROOT/build-ci/tier1"
   cmake --build "$ROOT/build-ci/tier1" -j "$JOBS" \
         --target deept_tests table1_sst_fast_vs_baf
@@ -230,11 +230,8 @@ stage_simd() {
     DEEPT_ISA=$Isa "$ROOT/build-ci/tier1/tests/deept_tests" \
         --gtest_filter="$SIMD_FILTER"
   done
-  # The f32 soundness oracle under ASan: the narrowed accumulators and
-  # their upward lifts must be memory-clean too.
   configure "$ROOT/build-ci/asan" -DDEEPT_SANITIZE=address
   cmake --build "$ROOT/build-ci/asan" -j "$JOBS" --target deept_tests
-  "$ROOT/build-ci/asan/tests/deept_tests" --gtest_filter='F32Soundness.*'
   # The whole-plane fused coefficient oracle under ASan, dispatched from
   # each drilled table: the packed shared-panel scratch, the hoisted zero
   # flags and the paired-row loops must be memory-clean and 0-ULP equal to

@@ -64,9 +64,6 @@ int usage() {
       "           [--eps R] certify one fixed radius R (prints the margin;\n"
       "           a non-positive margin means falsified) instead of binary-\n"
       "           searching the largest certifiable radius\n"
-      "           [--precision f32|f64] kernel precision for the dual-norm\n"
-      "           reductions (DeepT verifiers only; f32 is soundly widened\n"
-      "           and auto-escalates to f64 when a query would falsify)\n"
       "           [--profile-out FILE.jsonl] per-query precision profiles\n"
       "           (checkpoint width/growth stats + noise-symbol\n"
       "           attribution; DeepT verifiers only, one line per margin\n"
@@ -270,16 +267,9 @@ int cmdCertify(const ArgParse &Args) {
   long Seed = Args.getInt("seed", 2);
   std::string ProfileOut = Args.get("profile-out");
   std::string CertOut = Args.get("cert-out");
-  support::FpPrecision Precision = support::FpPrecision::F64;
-  if (Args.has("precision")) {
-    std::string Err;
-    if (!support::parseFpPrecision(Args.get("precision"), Precision, &Err))
-      throw badArgument("--precision " + Err);
-  }
-  if (IsCrown && (!ProfileOut.empty() || !CertOut.empty() ||
-                  Precision == support::FpPrecision::F32))
-    throw badArgument("--profile-out, --cert-out and --precision f32 need "
-                      "a DeepT verifier (fast, precise or combined)");
+  if (IsCrown && (!ProfileOut.empty() || !CertOut.empty()))
+    throw badArgument("--profile-out and --cert-out need a DeepT verifier "
+                      "(fast, precise or combined)");
   nn::TransformerModel Model;
   if (int Rc = loadModelOrFail(Args, Model))
     return Rc;
@@ -331,7 +321,6 @@ int cmdCertify(const ArgParse &Args) {
       Cfg.Method = zono::DotMethod::Precise;
     if (Method == verify::JobMethod::Combined)
       Cfg.PreciseLastLayerOnly = true;
-    Cfg.Precision = Precision;
     if (ProfileFile.isOpen())
       Cfg.Observers.push_back(&Prof);
     if (CertFile.isOpen())
@@ -570,7 +559,7 @@ const Command Commands[] = {
     {"certify",
      cmdCertify,
      {"model", "corpus", "norm", "word", "sentences", "verifier", "eps",
-      "precision", "profile-out", "cert-out", "seed"}},
+      "profile-out", "cert-out", "seed"}},
     {"synonym", cmdSynonym, {"model", "corpus", "count", "seed"}},
     {"attack", cmdAttack, {"model", "corpus", "norm", "word", "seed"}},
     {"batch",
