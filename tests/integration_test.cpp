@@ -82,8 +82,9 @@ TEST(Integration, CertificationIsMonotoneInRadius) {
     double RB = verify::certifiedRadius([&](double Radius) {
       return BaF.certifyLpBall(S.Tokens, 0, P, Radius, S.Label);
     });
-    if (RB > 0)
+    if (RB > 0) {
       EXPECT_TRUE(BaF.certifyLpBall(S.Tokens, 0, P, RB * 0.5, S.Label));
+    }
   }
 }
 

@@ -398,6 +398,74 @@ TEST(Scheduler, JobQueueRejectsMalformedIntegerFields) {
   EXPECT_EQ(Q.spec(1).NoiseReductionBudget, 0u);
 }
 
+/// The jobs file is untrusted input. Every prefix of a valid document and
+/// every single-byte corruption of it (each bit flip, plus bytes that
+/// change a number's sign, fraction, exponent or the JSON structure)
+/// either fails to parse, is rejected with a message, or yields a queue
+/// whose tokens, word and label are in range. Nothing throws.
+TEST(Scheduler, JobsFileCorruptionSweep) {
+  data::SyntheticCorpus Corpus(data::CorpusConfig::sstLike(16));
+  const std::string Valid =
+      R"({"jobs":[{"id":"a","seed":7,"word":1,"norm":"l2","eps":0.05,)"
+      R"("method":"precise","deadline_ms":500,"budget":128,"label":1},)"
+      R"({"tokens":[1,2,3],"label":0,"norm":"linf","search":true,)"
+      R"("eps":0.1,"deadline_ms":-1}]})";
+  {
+    support::JsonValue Doc;
+    ASSERT_TRUE(support::parseJson(Valid, Doc));
+    JobQueue Q;
+    std::string Err;
+    ASSERT_TRUE(JobQueue::fromJson(Doc, &Corpus, Q, &Err)) << Err;
+    ASSERT_EQ(Q.size(), 2u);
+  }
+  constexpr size_t MaxExact = size_t{1} << 53;
+  size_t Parsed = 0, Accepted = 0;
+  auto Check = [&](const std::string &Text) {
+    support::JsonValue Doc;
+    bool Ok = false;
+    EXPECT_NO_THROW(Ok = support::parseJson(Text, Doc)) << Text;
+    if (!Ok)
+      return;
+    ++Parsed;
+    JobQueue Q;
+    std::string Err;
+    bool Took = false;
+    EXPECT_NO_THROW(Took = JobQueue::fromJson(Doc, &Corpus, Q, &Err))
+        << Text;
+    if (!Took) {
+      EXPECT_FALSE(Err.empty()) << Text;
+      return;
+    }
+    ++Accepted;
+    for (size_t I = 0; I < Q.size(); ++I) {
+      const JobSpec &S = Q.spec(I);
+      EXPECT_FALSE(S.Tokens.empty()) << Text;
+      for (size_t T : S.Tokens)
+        EXPECT_LE(T, MaxExact) << Text;
+      EXPECT_LE(S.Word, MaxExact) << Text;
+      EXPECT_LE(S.TrueClass, 1u) << Text;
+    }
+  };
+  for (size_t Len = 0; Len < Valid.size(); ++Len)
+    Check(Valid.substr(0, Len));
+  const unsigned char Bytes[] = {'-', '.', 'e', '9', '"', ',', ']', '}', 0};
+  for (size_t At = 0; At < Valid.size(); ++At) {
+    std::string Text = Valid;
+    for (unsigned Bit = 0; Bit < 8; ++Bit) {
+      Text[At] = static_cast<char>(Valid[At] ^ (1u << Bit));
+      Check(Text);
+    }
+    for (unsigned char B : Bytes) {
+      Text[At] = static_cast<char>(B);
+      Check(Text);
+    }
+  }
+  // The sweep reaches fromJson's accept and reject paths, not only the
+  // parser's errors.
+  EXPECT_GT(Parsed, Accepted);
+  EXPECT_GT(Accepted, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Crash-safe store recovery
 //===----------------------------------------------------------------------===//

@@ -51,7 +51,7 @@ ROBUSTNESS_FILTER='Fault.*:Serialize.*:Io.*:Error.*:Json.*'
 ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
 ROBUSTNESS_FILTER+=':Scheduler.Transient*:Scheduler.Retry*'
 ROBUSTNESS_FILTER+=':Scheduler.Permanent*:Scheduler.OutOfMemory*'
-ROBUSTNESS_FILTER+=':Scheduler.RecordCrc*:HeapPolicy.*'
+ROBUSTNESS_FILTER+=':Scheduler.RecordCrc*:Scheduler.JobsFile*:HeapPolicy.*'
 SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*'
 SIMD_FILTER+=':TiledGemm.*:Determinism.*:Refinement.*'
 
@@ -109,6 +109,12 @@ stage_artifacts() {
       "$ROOT/build-ci/tier1/bench/table1_sst_fast_vs_baf" )
   "$ROOT/build-ci/tier1/tools/deept_json_validate" --require-key bench \
       "$Out"/BENCH_*.json
+  # Bench artifacts must record the ISA they ran under, so cross-ISA
+  # comparisons fail loudly in bench_compare instead of lying quietly.
+  grep -q '"isa":"' "$Out/BENCH_table1_sst_fast_vs_baf.json" || {
+    echo "artifacts: bench artifact missing its isa tag" >&2
+    exit 1
+  }
 
   cat > "$Out/jobs.json" <<'EOF'
 {"jobs":[
@@ -194,8 +200,7 @@ EOF
 stage_simd() {
   echo "== simd: kernel equivalence across ISAs + fused-plane ASan oracle =="
   configure "$ROOT/build-ci/tier1"
-  cmake --build "$ROOT/build-ci/tier1" -j "$JOBS" \
-        --target deept_tests table1_sst_fast_vs_baf
+  cmake --build "$ROOT/build-ci/tier1" -j "$JOBS" --target deept_tests
   # Linkage guard: the SIMD tables share one kernel source compiled with
   # different -m flags, so each object may export nothing but its table.
   # Any other global or weak symbol (an ODR-merged inline or template
@@ -245,17 +250,6 @@ stage_simd() {
     DEEPT_ISA=$Isa "$ROOT/build-ci/asan/tests/deept_tests" \
         --gtest_filter="$FusedFilter"
   done
-  # Bench artifacts must record the ISA they ran under, so cross-ISA
-  # comparisons fail loudly in bench_compare instead of lying quietly.
-  local Out="$ROOT/build-ci/simd"
-  mkdir -p "$Out"
-  ( cd "$Out" && DEEPT_MODEL_CACHE="$ROOT/deept-model-cache" \
-      "$ROOT/build-ci/tier1/bench/table1_sst_fast_vs_baf" )
-  grep -q '"isa":"' "$Out/BENCH_table1_sst_fast_vs_baf.json" || {
-    echo "simd: bench artifact missing its isa tag" >&2
-    exit 1
-  }
-  echo "simd artifacts in $Out"
 }
 
 stage_certificates() {
