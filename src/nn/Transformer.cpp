@@ -2,10 +2,12 @@
 
 #include "nn/Transformer.h"
 
+#include "support/Error.h"
 #include "support/Rng.h"
 
 #include <cassert>
 #include <cmath>
+#include <string>
 
 using namespace deept;
 using namespace deept::nn;
@@ -107,10 +109,21 @@ Matrix TransformerModel::sinusoidalPositional(size_t MaxLen,
 }
 
 Matrix TransformerModel::embed(const std::vector<size_t> &Tokens) const {
-  assert(Tokens.size() <= Config.MaxLen && "sequence too long");
+  using support::Error;
+  using support::ErrorCode;
+  if (Tokens.size() > Config.MaxLen)
+    throw Error(ErrorCode::JobInvalid, "nn.embed",
+                "sequence of " + std::to_string(Tokens.size()) +
+                    " tokens exceeds the model's MaxLen " +
+                    std::to_string(Config.MaxLen));
   Matrix X(Tokens.size(), Config.EmbedDim);
   for (size_t I = 0; I < Tokens.size(); ++I) {
-    assert(Tokens[I] < Embedding.rows() && "token id out of range");
+    if (Tokens[I] >= Embedding.rows())
+      throw Error(ErrorCode::JobInvalid, "nn.embed",
+                  "token id " + std::to_string(Tokens[I]) +
+                      " at position " + std::to_string(I) +
+                      " is outside the vocabulary of " +
+                      std::to_string(Embedding.rows()));
     for (size_t C = 0; C < Config.EmbedDim; ++C)
       X.at(I, C) = Embedding.at(Tokens[I], C) + Positional.at(I, C);
   }

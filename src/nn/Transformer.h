@@ -83,6 +83,8 @@ struct TransformerModel {
   static Matrix sinusoidalPositional(size_t MaxLen, size_t EmbedDim);
 
   /// Token embedding + positional encoding for a sequence (N x E).
+  /// Throws support::Error (job_invalid, site "nn.embed") for a sequence
+  /// longer than MaxLen or a token id outside the vocabulary.
   Matrix embed(const std::vector<size_t> &Tokens) const;
 
   /// Concrete forward pass from embeddings to logits (1 x 2).

@@ -218,47 +218,46 @@ void scalarRowScale(const double *Lambda, double *Rows, size_t R,
   }
 }
 
-// Four partners per pass share each loaded AS element; each keeps the
-// scalarDot chain (plain mul + add from +0.0, ascending k), and the Gs
-// fold in ascending partner order.
-void scalarEpsPairs(const double *AS, const double *Panel, size_t Stride,
-                    size_t T, size_t D, size_t Self, double *Lo,
+// One lane, so one row per call. Four partners per pass share each
+// loaded A element; each keeps scalarDot's chain (plain mul + add from
+// +0.0, ascending k), and the Gs fold in ascending partner order.
+void scalarEpsPairs(const double *A, unsigned Active, const double *Panel,
+                    size_t T, size_t D, const size_t *Self, double *Lo,
                     double *Hi) {
+  if (!(Active & 1u))
+    return;
   double L = *Lo, H = *Hi;
   auto Fold = [&](double G, size_t Q) {
-    if (Q == Self) {
+    if (Q == *Self) {
       if (G > 0.0)
         H += G;
       else
         L += G;
     } else {
-      double A = std::fabs(G);
-      H += A;
-      L -= A;
+      double Abs = std::fabs(G);
+      H += Abs;
+      L -= Abs;
     }
   };
   size_t Q = 0;
   for (; Q + 4 <= T; Q += 4) {
+    const double *W0 = Panel + Q * D, *W1 = W0 + D, *W2 = W1 + D,
+                 *W3 = W2 + D;
     double G0 = 0.0, G1 = 0.0, G2 = 0.0, G3 = 0.0;
     for (size_t K = 0; K < D; ++K) {
-      double AV = AS[K];
-      const double *P = Panel + K * Stride + Q;
-      G0 += AV * P[0];
-      G1 += AV * P[1];
-      G2 += AV * P[2];
-      G3 += AV * P[3];
+      double AV = A[K];
+      G0 += AV * W0[K];
+      G1 += AV * W1[K];
+      G2 += AV * W2[K];
+      G3 += AV * W3[K];
     }
     Fold(G0, Q);
     Fold(G1, Q + 1);
     Fold(G2, Q + 2);
     Fold(G3, Q + 3);
   }
-  for (; Q < T; ++Q) {
-    double G = 0.0;
-    for (size_t K = 0; K < D; ++K)
-      G += AS[K] * Panel[K * Stride + Q];
-    Fold(G, Q);
-  }
+  for (; Q < T; ++Q)
+    Fold(scalarDot(A, Panel + Q * D, D), Q);
   *Lo = L;
   *Hi = H;
 }

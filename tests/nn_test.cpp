@@ -8,6 +8,7 @@
 #include "nn/Serialize.h"
 #include "nn/Train.h"
 #include "nn/Transformer.h"
+#include "support/Error.h"
 
 #include <gtest/gtest.h>
 
@@ -153,6 +154,30 @@ TEST(Transformer, EmbedAddsPositionalEncoding) {
   for (size_t C = 0; C < 16; ++C)
     EXPECT_NEAR(X.at(1, C) - X.at(0, C),
                 M.Positional.at(1, C) - M.Positional.at(0, C), 1e-12);
+}
+
+TEST(Transformer, EmbedRejectsLongSequencesAndUnknownTokens) {
+  support::Rng Rng(13);
+  data::SyntheticCorpus Corpus(data::CorpusConfig::sstLike(16));
+  TransformerModel M =
+      TransformerModel::init(smallConfig(), Corpus.embeddings(), Rng);
+  auto CodeOf = [&](const std::vector<size_t> &Tokens) {
+    try {
+      M.embed(Tokens);
+    } catch (const support::Error &E) {
+      EXPECT_EQ(E.site(), "nn.embed");
+      return E.code();
+    }
+    return support::ErrorCode::Ok;
+  };
+  const size_t Vocab = M.Embedding.rows();
+  EXPECT_EQ(CodeOf(std::vector<size_t>(M.Config.MaxLen, 0)),
+            support::ErrorCode::Ok);
+  EXPECT_EQ(CodeOf(std::vector<size_t>(M.Config.MaxLen + 1, 0)),
+            support::ErrorCode::JobInvalid);
+  EXPECT_EQ(CodeOf({0, Vocab - 1}), support::ErrorCode::Ok);
+  EXPECT_EQ(CodeOf({0, Vocab}), support::ErrorCode::JobInvalid);
+  EXPECT_EQ(CodeOf({size_t(-1)}), support::ErrorCode::JobInvalid);
 }
 
 TEST(Transformer, SerializeRoundTrip) {
