@@ -240,8 +240,9 @@ stage_simd() {
   # The whole-plane fused coefficient oracle under ASan, dispatched from
   # each drilled table: the packed shared-panel scratch, the hoisted zero
   # flags and the paired-row loops must be memory-clean and 0-ULP equal to
-  # the per-plane references; so must the Eq. 6 partner kernel, whose
-  # vector loads reach into the panel padding.
+  # the per-plane references; so must the Eq. 6 row kernel and the
+  # row-group packing behind Precise dotRows, whose masked lanes load
+  # slots that are never written back.
   local FusedFilter='KernelEquivalence.DotPlanesFused*'
   FusedFilter+=':KernelEquivalence.DotTransposedB*'
   FusedFilter+=':KernelEquivalence.DotRows*:KernelEquivalence.RowScale*'
