@@ -72,8 +72,9 @@ public:
   VerifierConfig &config() { return Config; }
 
   /// Propagates an embedding-level zonotope (N x E, positional encodings
-  /// already added) to the logits zonotope (1 x 2), delivering onLayer and
-  /// onCheckpoint to the observers and validating every checkpoint.
+  /// already added) to the logits zonotope (1 x 2) through one
+  /// verify::Stage per pipeline stage, delivering onLayer, onCheckpoint
+  /// and onStage to the observers and validating every checkpoint.
   /// Records the verify.propagate.* instruments in support::Metrics.
   Zonotope propagate(const Zonotope &InputEmb) const;
 

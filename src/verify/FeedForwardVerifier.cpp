@@ -15,14 +15,15 @@ Zonotope deept::verify::propagateFeedForward(const nn::FeedForwardNet &Net,
                                              const Zonotope &Input,
                                              const ObserverList &Obs) {
   assert(Input.cols() == Net.inputDim() && "input width mismatch");
+  Stage Propagate(Obs, "ffn.propagate");
   Zonotope H = Input;
-  checkpoint(Obs, H, "ffn.input", -1, -1);
+  Propagate.checkpoint(H, "ffn.input");
   for (size_t L = 0; L < Net.numLayers(); ++L) {
-    enterLayer(Obs, L);
+    Stage Layer(Obs, "ffn.layer", static_cast<int>(L));
     H = H.matmulRightConst(Net.Weights[L]).addRowBroadcast(Net.Biases[L]);
     if (L + 1 != Net.numLayers())
       H = applyRelu(H);
-    checkpoint(Obs, H, "ffn.layer_output", static_cast<int>(L), -1);
+    Layer.checkpoint(H, "ffn.layer_output");
   }
   return H;
 }

@@ -23,7 +23,8 @@ namespace verify {
 
 /// Propagates an input zonotope (1 x In) to the logits zonotope through
 /// the soundness checkpoints "ffn.input" and one "ffn.layer_output" per
-/// layer, delivering onLayer / onCheckpoint to \p Obs.
+/// layer, inside the stages "ffn.propagate" and "ffn.layer[L]"
+/// (verify::Stage), delivering onLayer / onCheckpoint / onStage to \p Obs.
 zono::Zonotope propagateFeedForward(const nn::FeedForwardNet &Net,
                                     const zono::Zonotope &Input,
                                     const ObserverList &Obs = {});

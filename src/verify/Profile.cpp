@@ -22,7 +22,7 @@ void PrecisionProfile::resetMeasurements() {
   Attribution.clear();
   MarginLo = MarginHi = MarginWidth = 0.0;
   Falsified = false;
-  TotalMs = 0.0;
+  TotalMs = PendingMs = 0.0;
 }
 
 std::string PrecisionProfile::toJsonLine() const {
@@ -68,15 +68,19 @@ std::string PrecisionProfile::toJsonLine() const {
 
 void PrecisionProfile::onRunBegin(const RunInfo &, const zono::Zonotope &) {
   resetMeasurements();
-  RunStart = LastCheckpoint = std::chrono::steady_clock::now();
   Session.emplace();
 }
 
 void PrecisionProfile::onRunEnd() { Session.reset(); }
 
+void PrecisionProfile::onStage(const char *, int, int, double,
+                               double SelfMs) {
+  PendingMs += SelfMs;
+  TotalMs += SelfMs;
+}
+
 void PrecisionProfile::onCheckpoint(const zono::Zonotope &Z, const char *Site,
                                     int Layer, int Head) {
-  auto Now = std::chrono::steady_clock::now();
   CheckpointProfile C;
   C.Site = Site;
   C.Layer = Layer;
@@ -97,9 +101,8 @@ void PrecisionProfile::onCheckpoint(const zono::Zonotope &Z, const char *Site,
   C.EpsBlocks = Z.epsBlockCount();
   C.StructuredFrac = Z.epsStructuredFraction();
   C.CoeffBytes = Z.coeffBytes();
-  C.SinceMs =
-      std::chrono::duration<double, std::milli>(Now - LastCheckpoint).count();
-  LastCheckpoint = Now;
+  C.SinceMs = PendingMs;
+  PendingMs = 0.0;
   Checkpoints.push_back(std::move(C));
 }
 
@@ -177,7 +180,4 @@ void PrecisionProfile::onMargin(const zono::Zonotope &Margin, size_t,
   for (const CheckpointProfile &C : Checkpoints)
     if (C.Growth > 0.0)
       Growth.observe(C.Growth);
-  TotalMs = std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - RunStart)
-                .count();
 }

@@ -8,7 +8,7 @@
 /// The per-query half of the precision-observability subsystem: a
 /// PrecisionProfile is a verifier observer (verify/Observer.h). Attached
 /// to VerifierConfig::Observers, it records interval-width statistics,
-/// eps-storage shape and stage wall time at every soundness checkpoint,
+/// eps-storage shape and stage time at every soundness checkpoint,
 /// and decomposes the final margin width into per-layer/op noise-symbol
 /// contributions using the zono::SymbolProvenance tags of the provenance
 /// session it installs for the duration of each run.
@@ -33,7 +33,6 @@
 #include "verify/Observer.h"
 #include "zono/Provenance.h"
 
-#include <chrono>
 #include <cstddef>
 #include <optional>
 #include <string>
@@ -57,8 +56,8 @@ struct CheckpointProfile {
   size_t EpsBlocks = 0;
   double StructuredFrac = 0.0;
   size_t CoeffBytes = 0;
-  /// Wall time since the previous checkpoint (ms) -- the cost of the
-  /// stage that produced this zonotope.
+  /// Self time (ms) of the stages that closed since the previous
+  /// checkpoint (verify::Stage) -- the cost of producing this zonotope.
   double SinceMs = 0.0;
 };
 
@@ -87,6 +86,8 @@ struct PrecisionProfile : Observer {
   double MarginHi = 0.0;
   double MarginWidth = 0.0;
   bool Falsified = false;
+  /// Self time (ms) of every stage of the run: the elapsed time of its
+  /// outermost stage.
   double TotalMs = 0.0;
 
   /// Clears the measured fields (checkpoints, attribution, margin,
@@ -96,11 +97,11 @@ struct PrecisionProfile : Observer {
   /// The profile as one line of JSON (no trailing newline).
   std::string toJsonLine() const;
 
-  /// Resets the measurements, starts the clock and installs the
-  /// provenance session on the calling thread.
+  /// Resets the measurements and installs the provenance session on the
+  /// calling thread.
   void onRunBegin(const RunInfo &, const zono::Zonotope &) override;
   /// Appends a checkpoint record (mean/max width from Zonotope::radii,
-  /// eps-storage shape, time since the previous checkpoint).
+  /// eps-storage shape, stage time since the previous checkpoint).
   void onCheckpoint(const zono::Zonotope &Z, const char *Site, int Layer,
                     int Head) override;
   /// Fills the attribution and margin fields from the final 1x1 margin
@@ -110,11 +111,13 @@ struct PrecisionProfile : Observer {
   /// profile.checkpoint_growth).
   void onMargin(const zono::Zonotope &Margin, size_t TrueClass, double Lo,
                 double Hi) override;
+  /// Adds the stage's self time to TotalMs and to the next checkpoint.
+  void onStage(const char *, int, int, double, double SelfMs) override;
   /// Removes the provenance session.
   void onRunEnd() override;
 
 private:
-  std::chrono::steady_clock::time_point RunStart, LastCheckpoint;
+  double PendingMs = 0.0; ///< Stage self time since the last checkpoint.
   std::optional<zono::ProvenanceSession> Session;
 };
 

@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 
 using namespace deept;
@@ -228,7 +227,6 @@ deept::zono::refineSoftmaxSum(Zonotope &P,
   ConstraintForm &D = S.D, &DR = S.DR;
   std::vector<Breakpoint> &Points = S.Points;
   Matrix &AlphaScratch = S.AlphaScratch;
-  double MedianSeconds = 0.0;
 
   for (size_t Row = 0; Row < P.rows(); ++Row) {
     buildConstraint(P, Row, D);
@@ -242,11 +240,7 @@ deept::zono::refineSoftmaxSum(Zonotope &P,
     // candidate the optimum dominates).
     for (size_t J = 0; J < C; ++J) {
       size_t Var = Row * C + J;
-      auto T0 = std::chrono::steady_clock::now();
       double TStar = minimiseCoefficientMass(P, Var, D, Opts, Points);
-      MedianSeconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-              .count();
       if (std::fabs(TStar) <= Opts.MaxFactor)
         addConstraintMultiple(P, Var, TStar, D);
     }
@@ -302,9 +296,6 @@ deept::zono::refineSoftmaxSum(Zonotope &P,
       support::Metrics::global().counter("zono.refine.symbols_tightened");
   static support::Histogram &Shrinkage =
       support::Metrics::global().histogram("zono.refine.shrinkage");
-  static support::Histogram &MedianMs =
-      support::Metrics::global().histogram("refine.median_ms");
-  MedianMs.observe(MedianSeconds * 1e3);
   RowsRefined.add(static_cast<double>(Stats.RowsRefined));
   for (size_t Sym = 0; Sym < Tightened.size(); ++Sym) {
     if (!Tightened[Sym])
