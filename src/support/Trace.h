@@ -85,11 +85,13 @@ public:
       begin(Name);
   }
 
-  /// Span with an indexed name, e.g. ("deept.layer", 2) -> "deept.layer[2]".
-  /// The formatting only happens when tracing is enabled.
-  TraceSpan(const char *Name, size_t Index) {
+  /// Span with an indexed name, e.g. ("deept.layer", 2) -> "deept.layer[2]";
+  /// a negative \p Index leaves \p Name as it is. The formatting only
+  /// happens when tracing is enabled.
+  TraceSpan(const char *Name, int Index) {
     if (Trace::enabled())
-      begin(std::string(Name) + "[" + std::to_string(Index) + "]");
+      begin(Index < 0 ? Name
+                      : std::string(Name) + "[" + std::to_string(Index) + "]");
   }
 
   /// Span with a string tag, e.g. ("sched.job", Key) -> "sched.job[0x1a..]";

@@ -48,7 +48,6 @@ using verify::JobStatus;
 using verify::PrecisionProfile;
 using verify::Scheduler;
 using verify::SchedulerOptions;
-using zono::ProvenanceGroup;
 using zono::ProvenanceSession;
 using zono::SymbolProvenance;
 
@@ -169,26 +168,34 @@ TEST(SymbolProvenance, SessionInstallsAndRestoresThreadLocal) {
   EXPECT_EQ(SymbolProvenance::active(), nullptr);
 }
 
+// The group guard is the verifier's stage scope (verify::Stage).
 TEST(SymbolProvenance, GroupGuardNestsAndIsNoopWithoutSession) {
+  const verify::ObserverList None;
   {
     // No session: the guard must not crash or install anything.
-    ProvenanceGroup G("orphan");
+    verify::Stage G(None, "test.orphan", -1, -1, "orphan");
     EXPECT_EQ(SymbolProvenance::active(), nullptr);
   }
   ProvenanceSession S;
   SymbolProvenance &P = S.provenance();
   EXPECT_EQ(P.currentGroup(), 0u);
   {
-    ProvenanceGroup G(static_cast<size_t>(2), "softmax");
+    verify::Stage G(None, "test.layer", 2, -1, "softmax");
     P.noteFresh(0, 1);
     EXPECT_EQ(P.groupOf(0), "layer2.softmax");
     {
-      ProvenanceGroup Inner("pooler");
+      verify::Stage Inner(None, "test.pooler", -1, -1, "pooler");
       P.noteFresh(1, 1);
       EXPECT_EQ(P.groupOf(1), "pooler");
     }
     P.noteFresh(2, 1);
     EXPECT_EQ(P.groupOf(2), "layer2.softmax"); // restored by inner guard
+    {
+      // A stage without a group leaves the current one.
+      verify::Stage Plain(None, "test.plain", 2);
+      P.noteFresh(3, 1);
+      EXPECT_EQ(P.groupOf(3), "layer2.softmax");
+    }
   }
   EXPECT_EQ(P.currentGroup(), 0u);
 }
@@ -199,8 +206,9 @@ TEST(SymbolProvenance, AppendFreshEpsHookTags) {
   C.at(0, 0) = 0.0;
   C.at(0, 1) = 0.0;
   zono::Zonotope Z = zono::Zonotope::constant(C, /*PhiP=*/2.0);
+  const verify::ObserverList None;
   {
-    ProvenanceGroup G("layer0.softmax");
+    verify::Stage G(None, "test.softmax", 0, -1, "softmax");
     Z.appendFreshEps({{0, 0.5}});
   }
   Z.appendFreshEps({{1, 0.25}});
