@@ -67,14 +67,3 @@ ErrorCode deept::support::codeOf(const std::exception &E) {
     return ErrorCode::OutOfMemory;
   return ErrorCode::Internal;
 }
-
-bool deept::support::isTransientError(ErrorCode C) {
-  switch (C) {
-  case ErrorCode::IoError:
-  case ErrorCode::OutOfMemory:
-  case ErrorCode::FaultInjected:
-    return true;
-  default:
-    return false;
-  }
-}

@@ -96,13 +96,6 @@ private:
 /// code, std::bad_alloc becomes OutOfMemory, anything else Internal.
 ErrorCode codeOf(const std::exception &E);
 
-/// Whether a failure with code \p C may succeed if the same work is simply
-/// re-executed (transient: io_error, out_of_memory, fault_injected).
-/// Permanent codes (model_corrupt, unsound_abstraction, job_invalid, ...)
-/// would fail identically on every attempt and must fail fast; deadline
-/// misses have their own degradation path and are not retried either.
-bool isTransientError(ErrorCode C);
-
 } // namespace support
 } // namespace deept
 

@@ -38,8 +38,9 @@
 /// Example: `DEEPT_FAULTS=serialize.read:2:short,verify.propagate:1:nan`
 /// fails the second payload read and poisons the first propagation.
 ///
-/// The scheduler's site `sched.execute` (kind `fail`/`alloc`) drives the
-/// transient-retry path; kind `delay` stretches jobs.
+/// The scheduler's site `sched.execute` fails one job attempt: kind
+/// `alloc` takes the out-of-memory degradation path, kind `fail` records
+/// a typed `fault_injected` error; kind `delay` stretches jobs.
 ///
 //===----------------------------------------------------------------------===//
 

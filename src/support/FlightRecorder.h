@@ -14,9 +14,9 @@
 /// is cheap enough to leave on for every scheduled job.
 ///
 /// Events carry a monotonic timestamp relative to the recorder's
-/// creation, a short machine-readable kind ("checkpoint", "degrade",
-/// "deadline", "fault", "retry", ...), a free-form detail
-/// string, and up to three numeric payload slots whose meaning is
+/// creation, a short machine-readable kind ("attempt_start", "probe",
+/// "checkpoint", "degrade", "deadline", "oom", "error", "fault",
+/// "certificate", "final"), a free-form detail string, and up to three numeric payload slots whose meaning is
 /// per-kind (documented in DESIGN.md "Precision observability").
 ///
 //===----------------------------------------------------------------------===//

@@ -16,7 +16,6 @@
 #include "verify/Profile.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,10 +23,8 @@
 #include <fstream>
 #include <iterator>
 #include <mutex>
-#include <new>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace deept;
 using namespace deept::verify;
@@ -39,10 +36,11 @@ namespace {
 /// Wall-clock deadline of one job attempt. Ms < 0 never expires, Ms == 0
 /// expires immediately (the deterministic trigger the tests use), Ms > 0
 /// is a real deadline starting at construction. As a verifier observer it
-/// checks at the top of every layer and writes a cheap `checkpoint` event
-/// (eps symbols, eps blocks, coefficient bytes -- no width computation)
-/// to the job's flight recorder, if it has one, so a failed job's artifact
-/// shows where the propagation was when it died.
+/// checks at the top of every layer and, when the job has a flight
+/// recorder, keeps the latest checkpoint's storage shape (eps symbols, eps
+/// blocks, coefficient bytes -- no width computation). A failed attempt
+/// records it once, so the artifact shows where the propagation died
+/// without spending a ring slot per checkpoint.
 class Deadline : public Observer {
 public:
   Deadline(int64_t Ms, support::FlightRecorder *Rec) : Ms(Ms), Rec(Rec) {}
@@ -54,16 +52,29 @@ public:
 
   void onLayer(size_t) override { check(); }
 
+  /// Checkpoint sites are string literals, so keeping the pointer is safe.
   void onCheckpoint(const Zonotope &Z, const char *Site, int, int) override {
     if (Rec)
-      Rec->record("checkpoint", Site, static_cast<double>(Z.numEps()),
-                  static_cast<double>(Z.epsBlockCount()),
-                  static_cast<double>(Z.coeffBytes()));
+      Last = {Site, static_cast<double>(Z.numEps()),
+              static_cast<double>(Z.epsBlockCount()),
+              static_cast<double>(Z.coeffBytes())};
+  }
+
+  /// Records the latest checkpoint, if any, as one `checkpoint` event.
+  void recordLastCheckpoint() const {
+    if (Rec && Last.Site)
+      Rec->record("checkpoint", Last.Site, Last.Eps, Last.Blocks, Last.Bytes);
   }
 
 private:
+  struct Checkpoint {
+    const char *Site = nullptr;
+    double Eps = 0.0, Blocks = 0.0, Bytes = 0.0;
+  };
+
   int64_t Ms;
   support::FlightRecorder *Rec;
+  Checkpoint Last;
   support::Timer T;
 };
 
@@ -351,8 +362,6 @@ std::string Scheduler::resultJsonLine(const JobResult &R) {
                   ",\"deadline_hit\":" + (R.DeadlineHit ? "true" : "false") +
                   ",\"seconds\":" + support::jsonNumber(R.Seconds) +
                   ",\"queue_ms\":" + support::jsonNumber(R.QueueMs);
-  if (R.Retries > 0)
-    S += ",\"retries\":" + std::to_string(R.Retries);
   if (R.Code != support::ErrorCode::Ok)
     S += std::string(",\"error_code\":\"") + support::errorCodeName(R.Code) +
          "\"";
@@ -489,11 +498,15 @@ std::set<std::string> Scheduler::recoverStore(const std::string &Path,
 // Execution
 //===----------------------------------------------------------------------===//
 
-void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
-                           int64_t DeadlineMs, JobResult &R,
-                           support::FlightRecorder *Rec,
-                           PrecisionProfile *Prof,
-                           CertificateData *Cert) const {
+namespace {
+
+/// One attempt of \p Spec under \p Method, checking \p D once per probe
+/// and (as a verifier observer) once per layer. Throws on any failure;
+/// the caller owns the failure policy.
+void executeOne(const nn::TransformerModel &Model, const JobSpec &Spec,
+                JobMethod Method, Deadline &D, JobResult &R,
+                support::FlightRecorder *Rec, PrecisionProfile *Prof,
+                CertificateData *Cert) {
   using support::Error;
   using support::ErrorCode;
   DEEPT_FAULT_POINT("sched.execute");
@@ -519,7 +532,6 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
                       " outside the vocabulary (" +
                       std::to_string(Model.Config.VocabSize) + ")");
 
-  Deadline D(DeadlineMs, Rec);
   // One builder per attempt; after every certified probe the recorded
   // run is snapshotted into *Cert, so a search job ends with the
   // certificate of its LAST certified probe (the final probe of a
@@ -583,53 +595,35 @@ void Scheduler::executeOne(const JobSpec &Spec, JobMethod Method,
   }
 }
 
+} // namespace
+
 void Scheduler::executeWithDegradation(const JobSpec &Spec, JobResult &R,
                                        support::FlightRecorder *Rec,
                                        PrecisionProfile *Prof,
                                        CertificateData *Cert) const {
+  using support::ErrorCode;
   static support::Counter &DeadlineHits =
       support::Metrics::global().counter("sched.deadline_hits");
-  static support::Counter &RetryCount =
-      support::Metrics::global().counter("sched.retries");
-  static support::Histogram &RetryBackoff =
-      support::Metrics::global().histogram("sched.retry_backoff_ms");
   int64_t DeadlineMs =
       Spec.DeadlineMs >= 0
           ? Spec.DeadlineMs
           : (Opts.DefaultDeadlineMs > 0 ? Opts.DefaultDeadlineMs : -1);
   JobMethod Method = Spec.Method;
-  // Transient failures re-run the current attempt on a jitter-free
-  // deterministic schedule: RetryBackoffMs * 2^(attempt-1), capped. The
-  // schedule being a pure function of the attempt index keeps drills
-  // reproducible (no randomized jitter to smear test timings over).
-  auto maybeRetry = [&](support::ErrorCode Code,
-                        const char *What) -> bool {
-    if (!support::isTransientError(Code) || R.Retries >= Opts.MaxRetries)
-      return false;
-    ++R.Retries;
-    RetryCount.add(1);
-    int64_t Delay = Opts.RetryBackoffMs;
-    for (int K = 1; K < R.Retries; ++K)
-      Delay = std::min(Delay * 2, Opts.RetryBackoffMaxMs);
-    Delay = std::min(std::max<int64_t>(Delay, 0), Opts.RetryBackoffMaxMs);
-    RetryBackoff.observe(static_cast<double>(Delay));
-    if (Rec)
-      Rec->record("retry", What, static_cast<double>(Delay),
-                  static_cast<double>(R.Retries));
-    std::this_thread::sleep_for(std::chrono::milliseconds(Delay));
-    return true;
-  };
+  // One attempt, plus at most one degraded attempt. An attempt is a
+  // deterministic function of model, query and method, so re-running a
+  // failed one would only fail the same way again.
   for (;;) {
+    Deadline D(DeadlineMs, Rec);
     try {
       uint64_t FaultsBefore = support::fault::injectedCount();
       if (Rec)
         Rec->record("attempt_start", jobMethodName(Method),
                     static_cast<double>(DeadlineMs));
-      // A degraded retry must not inherit the previous attempt's
+      // A degraded attempt must not inherit the previous attempt's
       // snapshot (the degraded method's own probes refill it).
       if (Cert)
         *Cert = CertificateData();
-      executeOne(Spec, Method, DeadlineMs, R, Rec, Prof, Cert);
+      executeOne(Model, Spec, Method, D, R, Rec, Prof, Cert);
       if (Rec) {
         uint64_t Faults = support::fault::injectedCount() - FaultsBefore;
         if (Faults > 0)
@@ -638,42 +632,7 @@ void Scheduler::executeWithDegradation(const JobSpec &Spec, JobResult &R,
       }
       R.Status =
           Method == Spec.Method ? JobStatus::Ok : JobStatus::Degraded;
-      R.Code = support::ErrorCode::Ok;
-      return;
-    } catch (const DeadlineExceeded &E) {
-      DeadlineHits.add(1);
-      R.DeadlineHit = true;
-      if (degrade(Method)) {
-        // The deadline is already blown; a degraded-but-complete answer
-        // beats a second miss, so the retry runs without one.
-        if (Rec)
-          Rec->record("degrade", E.what(),
-                      static_cast<double>(DeadlineMs));
-        DeadlineMs = -1;
-        continue;
-      }
-      if (Rec)
-        Rec->record("deadline", E.what(), static_cast<double>(DeadlineMs));
-      R.Status = JobStatus::Error;
-      R.Error = E.what();
-      R.Code = support::ErrorCode::DeadlineExceeded;
-      return;
-    } catch (const std::bad_alloc &) {
-      // Degradation before retry: a cheaper sound answer now beats the
-      // same expensive attempt failing the same way after a backoff.
-      if (degrade(Method)) {
-        if (Rec)
-          Rec->record("degrade", "out of memory");
-        DeadlineMs = -1;
-        continue;
-      }
-      if (maybeRetry(support::ErrorCode::OutOfMemory, "out of memory"))
-        continue;
-      if (Rec)
-        Rec->record("oom", "out of memory");
-      R.Status = JobStatus::Error;
-      R.Error = "out of memory";
-      R.Code = support::ErrorCode::OutOfMemory;
+      R.Code = ErrorCode::Ok;
       return;
     } catch (const std::exception &E) {
       // A failed attempt must never leave the partial verdict of an
@@ -682,13 +641,29 @@ void Scheduler::executeWithDegradation(const JobSpec &Spec, JobResult &R,
       R.Certified = false;
       R.Margin = 0.0;
       R.Radius = 0.0;
-      support::ErrorCode Code = support::codeOf(E);
-      if (maybeRetry(Code, E.what()))
+      ErrorCode Code = support::codeOf(E);
+      bool Late = Code == ErrorCode::DeadlineExceeded;
+      bool Oom = Code == ErrorCode::OutOfMemory;
+      std::string What = Oom ? "out of memory" : E.what();
+      if (Late) {
+        DeadlineHits.add(1);
+        R.DeadlineHit = true;
+      }
+      double Ms = static_cast<double>(DeadlineMs);
+      D.recordLastCheckpoint();
+      // A blown deadline or heap on Precise/Combined degrades to Fast,
+      // which runs without a deadline: the budget is already spent, and
+      // a cheaper sound answer beats a second miss.
+      if ((Late || Oom) && degrade(Method)) {
+        if (Rec)
+          Rec->record("degrade", What, Ms);
+        DeadlineMs = -1;
         continue;
+      }
       if (Rec)
-        Rec->record("error", E.what());
+        Rec->record(Late ? "deadline" : Oom ? "oom" : "error", What, Ms);
       R.Status = JobStatus::Error;
-      R.Error = E.what();
+      R.Error = What;
       R.Code = Code;
       return;
     }

@@ -15,12 +15,13 @@
 ///
 /// Graceful degradation (the DeepT Fast -> Precise ladder, run
 /// downwards): when a DeepT-Precise or combined job exceeds its
-/// wall-clock deadline or runs out of memory, it is retried once as
-/// DeepT-Fast and tagged `degraded` -- the batch prefers a cheaper,
-/// sound answer over no answer, so the retry runs to completion without
-/// a deadline. A job that still fails (or was DeepT-Fast / CROWN to
-/// begin with) is recorded as `error` with the exception text and the
-/// batch continues.
+/// wall-clock deadline or runs out of memory, it runs once more as
+/// DeepT-Fast and is tagged `degraded` -- the batch prefers a cheaper,
+/// sound answer over no answer, so that attempt runs to completion
+/// without a deadline. A job that still fails (or was DeepT-Fast / CROWN
+/// to begin with) is recorded as `error` with the exception text and the
+/// batch continues. Nothing else is re-run: an attempt is deterministic,
+/// so repeating a failed one would fail the same way.
 ///
 /// Results stream to a resumable JSONL store: one JSON object per line,
 /// appended (and flushed) as each job completes, so a killed batch keeps
@@ -121,9 +122,6 @@ struct JobResult {
   double Seconds = 0.0;
   /// Milliseconds between batch start and this job starting.
   double QueueMs = 0.0;
-  /// Transient-failure retries this job consumed (see
-  /// SchedulerOptions::MaxRetries); serialized as `retries` when > 0.
-  int Retries = 0;
 };
 
 /// Thrown by the cooperative deadline checks (the scheduler's deadline
@@ -201,17 +199,6 @@ struct SchedulerOptions {
   /// it is counted by cert.write_failures and the batch continues.
   /// Empty disables.
   std::string CertDir;
-  /// Bounded retry of transient job failures (support::isTransientError:
-  /// io_error, out_of_memory, fault_injected). Each retry waits on a
-  /// jitter-free deterministic exponential schedule
-  /// (RetryBackoffMs * 2^(attempt-1), capped at RetryBackoffMaxMs).
-  /// Permanent failures (job_invalid, model_corrupt, unsound_abstraction)
-  /// fail fast on the first attempt; deadline misses keep their own
-  /// degradation ladder and are never retried. Retry exhaustion records a
-  /// typed `error` result and the batch continues. 0 disables.
-  int MaxRetries = 0;
-  int64_t RetryBackoffMs = 100;
-  int64_t RetryBackoffMaxMs = 5000;
 };
 
 /// The batch driver. One instance serves one model; run() may be called
@@ -270,9 +257,6 @@ private:
                               support::FlightRecorder *Rec,
                               PrecisionProfile *Prof,
                               CertificateData *Cert) const;
-  void executeOne(const JobSpec &Spec, JobMethod Method, int64_t DeadlineMs,
-                  JobResult &R, support::FlightRecorder *Rec,
-                  PrecisionProfile *Prof, CertificateData *Cert) const;
 
   const nn::TransformerModel &Model;
   SchedulerOptions Opts;

@@ -282,8 +282,9 @@ TEST(Fault, UnsoundPropagationIsNeverCertified) {
   J.Id = "unsound";
   Q.push(J);
   // The failed job's flight-recorder dump shows where the propagation
-  // died: the scheduler's deadline observer records every checkpoint
-  // before the soundness check runs on it.
+  // died: the scheduler's deadline observer sees each checkpoint before
+  // the soundness check runs on it, and the failed attempt records the
+  // latest one.
   SchedulerOptions Opts;
   Opts.RecorderDir = ::testing::TempDir() + "/fault_unsound_recorder";
   ::mkdir(Opts.RecorderDir.c_str(), 0755);

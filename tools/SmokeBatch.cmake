@@ -4,8 +4,9 @@
 # search, a forced deadline expiry that must degrade, and a bad word
 # position that must error), validates the JSONL result store, then
 # re-runs with --resume and checks every job is skipped. A five-job batch
-# under an injected transient fault must succeed through --max-retries,
-# and malformed integer flags must be rejected. Run via:
+# whose first job attempt hits an injected failure must record that one
+# job as a typed error and finish the other four, and a malformed
+# --deadline-ms must be rejected. Run via:
 #   cmake -DDEEPT_CLI=... -DJSON_VALIDATE=... -DWORK_DIR=... -P SmokeBatch.cmake
 
 include("${CMAKE_CURRENT_LIST_DIR}/SmokeCommon.cmake")
@@ -58,12 +59,13 @@ if(NOT Out MATCHES "4 jobs \\(0 ok, 0 degraded, 0 error, 4 skipped\\)")
   message(FATAL_ERROR "resume did not skip completed jobs: ${Out}")
 endif()
 
-# Transient retry: the first job attempt hits an injected fault and is
-# retried (deterministic fixed-eps jobs, no deadlines).
-set(RetryJobs "${WORK_DIR}/retry_jobs.json")
-set(Retried "${WORK_DIR}/retried.jsonl")
-file(REMOVE "${Retried}")
-file(WRITE "${RetryJobs}" [=[
+# Injected job failure: the first job attempt fails; that job is recorded
+# as a typed error and the batch finishes the rest (deterministic
+# fixed-eps jobs, no deadlines).
+set(FaultJobs "${WORK_DIR}/fault_jobs.json")
+set(Faulted "${WORK_DIR}/faulted.jsonl")
+file(REMOVE "${Faulted}")
+file(WRITE "${FaultJobs}" [=[
 {"jobs":[
   {"id":"a","seed":3,"word":0,"norm":"l2","eps":0.02,"method":"fast"},
   {"id":"b","seed":4,"word":0,"norm":"l2","eps":0.05,"method":"fast"},
@@ -74,31 +76,34 @@ file(WRITE "${RetryJobs}" [=[
 ]=])
 execute_process(
   COMMAND "${CMAKE_COMMAND}" -E env DEEPT_FAULTS=sched.execute:1:fail
-          "${DEEPT_CLI}" batch --model "${Model}" --jobs "${RetryJobs}"
-          --out "${Retried}" --max-retries 2
+          "${DEEPT_CLI}" batch --model "${Model}" --jobs "${FaultJobs}"
+          --out "${Faulted}"
   RESULT_VARIABLE Rc OUTPUT_VARIABLE Out ERROR_VARIABLE ErrOut)
 if(NOT Rc EQUAL 0)
-  message(FATAL_ERROR "batch --max-retries failed (rc=${Rc}): ${ErrOut}")
+  message(FATAL_ERROR "batch under an injected failure failed (rc=${Rc}): "
+                      "${ErrOut}")
 endif()
-if(NOT Out MATCHES "5 jobs \\(5 ok, 0 degraded, 0 error, 0 skipped\\)")
-  message(FATAL_ERROR "retried batch summary wrong: ${Out}")
+if(NOT Out MATCHES "5 jobs \\(4 ok, 0 degraded, 1 error, 0 skipped\\)")
+  message(FATAL_ERROR "faulted batch summary wrong: ${Out}")
 endif()
-if(NOT Out MATCHES "health: .* 1 retries")
-  message(FATAL_ERROR "health line missing the retry count: ${Out}")
+file(STRINGS "${Faulted}" FaultedRecords
+     REGEX "\"error_code\":\"fault_injected\"")
+list(LENGTH FaultedRecords NumFaulted)
+if(NOT NumFaulted EQUAL 1)
+  message(FATAL_ERROR
+      "want one fault_injected store record, got ${NumFaulted}: ${Out}")
 endif()
 
-# Malformed integer flags must be rejected loudly.
-foreach(BadFlag "--deadline-ms" "--max-retries")
-  execute_process(
-    COMMAND "${DEEPT_CLI}" batch --model "${Model}" --jobs "${Jobs}"
-            --out "${Results}" ${BadFlag} nonsense
-    RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
-  if(Rc EQUAL 0)
-    message(FATAL_ERROR "batch accepted ${BadFlag} nonsense")
-  endif()
-  if(NOT ErrOut MATCHES "expects an integer")
-    message(FATAL_ERROR "missing strict-parse error for ${BadFlag}: ${ErrOut}")
-  endif()
-endforeach()
+# A malformed integer flag must be rejected loudly.
+execute_process(
+  COMMAND "${DEEPT_CLI}" batch --model "${Model}" --jobs "${Jobs}"
+          --out "${Results}" --deadline-ms nonsense
+  RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
+if(Rc EQUAL 0)
+  message(FATAL_ERROR "batch accepted --deadline-ms nonsense")
+endif()
+if(NOT ErrOut MATCHES "expects an integer")
+  message(FATAL_ERROR "missing strict-parse error for --deadline-ms: ${ErrOut}")
+endif()
 
 message(STATUS "batch scheduler smoke test passed")

@@ -144,8 +144,8 @@ if(NOT ErrOut MATCHES "bad_argument")
 endif()
 
 # Drill 7: a misspelled flag is a typed bad argument naming the flag, not
-# a silently ignored option (here it would have meant: no retries), and a
-# command that does not exist is rejected the same way.
+# a silently ignored option that leaves the batch running on defaults,
+# and a command that does not exist is rejected the same way.
 execute_process(
   COMMAND "${DEEPT_CLI}" batch --model "${Model}" --jobs "${Jobs}"
           --out "${Results}" --max-retires 3
@@ -166,9 +166,10 @@ endif()
 # Drill 8: flag values are parsed strictly and checked before any work.
 # Each input below used to exit 0 having done nothing useful, crash
 # (SIGFPE, assert), or loop forever; each must now be a typed bad
-# argument (exit class 2) within the timeout. The last case is the flag
-# of the removed f32 precision mode: a script that still passes it must
-# fail, not silently run in f64.
+# argument (exit class 2) within the timeout. The last two cases are the
+# flags of removed features -- the f32 precision mode and batch
+# retry-with-backoff: a script that still passes one must fail, not
+# silently run without it.
 set(BadValueCases
     "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--cert-dir"
     "certify|--model|${Model}|--sentences|abc"
@@ -181,7 +182,8 @@ set(BadValueCases
     "certify|--model|${Model}|--norm|l3|--verifier|bogus"
     "certify|--model|${Model}|--verifier|bogus"
     "attack|--model|${Model}|--norm|l3"
-    "certify|--model|${Model}|--precision|f32")
+    "certify|--model|${Model}|--precision|f32"
+    "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--max-retries|2")
 foreach(Case IN LISTS BadValueCases)
   string(REPLACE "|" ";" CaseArgs "${Case}")
   execute_process(

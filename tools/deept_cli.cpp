@@ -74,7 +74,7 @@ int usage() {
       "  synonym  --model FILE [--corpus ...] [--count N]\n"
       "  attack   --model FILE [--corpus ...] [--norm l1|l2|linf] [--word N]\n"
       "  batch    --model FILE --jobs FILE.json --out FILE.jsonl\n"
-      "           [--corpus ...] [--deadline-ms N] [--max-retries N]\n"
+      "           [--corpus ...] [--deadline-ms N]\n"
       "           [--resume] [--fsync] [--profile-out FILE.jsonl]\n"
       "           [--recorder-dir DIR] [--cert-dir DIR]\n"
       "           run a batch of certification jobs on the scheduler:\n"
@@ -89,10 +89,8 @@ int usage() {
       "           its deadline, and --cert-dir writes a proof\n"
       "           certificate (cert-<key>.json, replayable with\n"
       "           deept_check) for each DeepT job whose final probe\n"
-      "           certified; transient job failures (io_error,\n"
-      "           out_of_memory, fault_injected) retry up to\n"
-      "           --max-retries times on a deterministic exponential\n"
-      "           backoff\n"
+      "           certified; a failed job is recorded as an error and\n"
+      "           the batch continues\n"
       "  info     --model FILE\n"
       "\n"
       "exit codes: 0 success, 2 bad arguments, 3 model/store load\n"
@@ -448,22 +446,18 @@ int cmdAttack(const ArgParse &Args) {
 }
 
 /// The operator-facing end-of-run health line: degraded IO (certificate
-/// write failures, store records dropped for CRC mismatch) and the retry
-/// counter, without scraping --stats-json.
+/// write failures, store records dropped for CRC mismatch), without
+/// scraping --stats-json.
 void printHealthLine() {
   support::Metrics &M = support::Metrics::global();
-  std::printf("health: %.0f cert write failures, %.0f store crc drops, "
-              "%.0f retries\n",
+  std::printf("health: %.0f cert write failures, %.0f store crc drops\n",
               M.counterValue("cert.write_failures"),
-              M.counterValue("store.crc_dropped"),
-              M.counterValue("sched.retries"));
+              M.counterValue("store.crc_dropped"));
 }
 
 int cmdBatch(const ArgParse &Args) {
   verify::SchedulerOptions SO;
   SO.DefaultDeadlineMs = intAtLeast(Args, "deadline-ms", 0, 0);
-  SO.MaxRetries = static_cast<int>(
-      intAtLeast(Args, "max-retries", 0, 0));
   std::string JobsPath = Args.get("jobs");
   std::string OutPath = Args.get("out");
   if (JobsPath.empty() || OutPath.empty())
@@ -564,8 +558,8 @@ const Command Commands[] = {
     {"attack", cmdAttack, {"model", "corpus", "norm", "word", "seed"}},
     {"batch",
      cmdBatch,
-     {"model", "jobs", "out", "corpus", "deadline-ms", "max-retries",
-      "resume", "fsync", "profile-out", "recorder-dir", "cert-dir"}},
+     {"model", "jobs", "out", "corpus", "deadline-ms", "resume", "fsync",
+      "profile-out", "recorder-dir", "cert-dir"}},
     {"info", cmdInfo, {"model"}},
 };
 
