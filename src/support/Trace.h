@@ -95,8 +95,8 @@ public:
   }
 
   /// Span with a string tag, e.g. ("sched.job", Key) -> "sched.job[0x1a..]";
-  /// lets offline tooling join trace spans against batch JSONL rows and
-  /// flight-recorder artifacts by job key.
+  /// lets offline tooling join trace spans against batch JSONL rows by
+  /// job key.
   TraceSpan(const char *Name, const std::string &Tag) {
     if (Trace::enabled())
       begin(std::string(Name) + "[" + Tag + "]");

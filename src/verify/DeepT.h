@@ -56,7 +56,7 @@ struct VerifierConfig {
   /// exists for ablations).
   bool StableSoftmax = true;
   /// Observers of every run (verify/Observer.h): precision profiles,
-  /// proof certificates, the scheduler's deadline and flight recorder.
+  /// proof certificates and the scheduler's deadline.
   /// Empty by default; observation never changes the margin.
   ObserverList Observers;
 };

@@ -7,8 +7,8 @@
 /// \file
 /// The one attachment point for everything that watches a certification
 /// run without taking part in its arithmetic: precision profiles
-/// (verify/Profile.h), proof certificates (verify/Certificate.h), the
-/// scheduler's deadline and flight recorder (verify/Scheduler.cpp). Both
+/// (verify/Profile.h), proof certificates (verify/Certificate.h) and the
+/// scheduler's deadline (verify/Scheduler.cpp). Both
 /// verifiers -- DeepT and the feed-forward verifier -- drive the same
 /// hooks through the same three pieces, Stage, Stage::checkpoint() and
 /// marginOf(), so an observer sees one protocol whichever network it

@@ -19,8 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -281,33 +279,32 @@ TEST(Fault, UnsoundPropagationIsNeverCertified) {
   JobSpec J = S.job(JobMethod::Fast);
   J.Id = "unsound";
   Q.push(J);
-  // The failed job's flight-recorder dump shows where the propagation
-  // died: the scheduler's deadline observer sees each checkpoint before
-  // the soundness check runs on it, and the failed attempt records the
-  // latest one.
+  // The failed job's profile line keeps the checkpoints its run passed,
+  // the last being the site whose soundness check failed.
   SchedulerOptions Opts;
-  Opts.RecorderDir = ::testing::TempDir() + "/fault_unsound_recorder";
-  ::mkdir(Opts.RecorderDir.c_str(), 0755);
-  TempFile Dump(Opts.RecorderDir + "/recorder-unsound.json");
+  TempFile Profiles(::testing::TempDir() + "/fault_unsound_profiles.jsonl");
+  Opts.ProfileJsonlPath = Profiles.path();
   std::vector<JobResult> R = Scheduler(S.Model, Opts).run(Q);
   ASSERT_EQ(R.size(), 1u);
   EXPECT_EQ(R[0].Status, JobStatus::Error);
   EXPECT_EQ(R[0].Code, ErrorCode::UnsoundAbstraction);
   EXPECT_FALSE(R[0].Certified);
+  // The error text names the site where the propagation died.
+  EXPECT_NE(R[0].Error.find("at verify.layer_input"), std::string::npos)
+      << R[0].Error;
   std::string Line = Scheduler::resultJsonLine(R[0]);
   EXPECT_NE(Line.find("\"error_code\":\"unsound_abstraction\""),
             std::string::npos);
   EXPECT_NE(Line.find("\"certified\":false"), std::string::npos);
   support::JsonValue Doc;
   std::string Err;
-  ASSERT_TRUE(support::parseJson(readFileBytes(Dump.path()), Doc, &Err))
+  ASSERT_TRUE(support::parseJson(readFileBytes(Profiles.path()), Doc, &Err))
       << Err;
-  bool SawLayerInput = false;
-  for (const support::JsonValue &E : Doc.find("events")->Items)
-    if (E.find("kind")->StringVal == "checkpoint" &&
-        E.find("detail")->StringVal == "verify.layer_input")
-      SawLayerInput = true;
-  EXPECT_TRUE(SawLayerInput);
+  const support::JsonValue *Checkpoints = Doc.find("checkpoints");
+  ASSERT_NE(Checkpoints, nullptr);
+  ASSERT_FALSE(Checkpoints->Items.empty());
+  EXPECT_EQ(Checkpoints->Items.back().find("site")->StringVal,
+            "verify.layer_input");
 }
 
 TEST(Fault, AllocFaultDegradesPreciseToFast) {

@@ -3,9 +3,8 @@
 // Tests of the precision-observability subsystem: noise-symbol provenance
 // tagging and reduction remapping (zono/Provenance.h), per-query precision
 // profiles whose attribution decomposes the margin width exactly
-// (verify/Profile.h), the flight-recorder ring buffer
-// (support/FlightRecorder.h), and the scheduler's artifact lifecycle
-// (recorder dumps on deadline expiry, profile JSONL streaming).
+// (verify/Profile.h), and the scheduler's profile JSONL streaming for
+// clean and degraded jobs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,7 +12,6 @@
 
 #include "data/SyntheticCorpus.h"
 #include "nn/Transformer.h"
-#include "support/FlightRecorder.h"
 #include "support/Json.h"
 #include "support/Parallel.h"
 #include "support/Rng.h"
@@ -25,18 +23,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace deept;
-using support::FlightRecorder;
 using support::JsonValue;
 using testhelp::ScopedThreads;
 using tensor::Matrix;
@@ -65,17 +58,6 @@ public:
 private:
   std::string Path;
 };
-
-bool fileExists(const std::string &Path) {
-  return std::ifstream(Path).good();
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
 
 struct TinySetup {
   data::SyntheticCorpus Corpus;
@@ -378,64 +360,14 @@ TEST_F(ProfileTest, ProfilingDoesNotChangeTheMargin) {
 }
 
 //===----------------------------------------------------------------------===//
-// FlightRecorder
+// Scheduler profile streaming
 //===----------------------------------------------------------------------===//
 
-TEST(FlightRecorderTest, RingDropsOldestAtCapacity) {
-  FlightRecorder Rec(4);
-  EXPECT_EQ(Rec.capacity(), 4u);
-  for (int I = 0; I < 10; ++I)
-    Rec.record("e" + std::to_string(I), "detail", I);
-  EXPECT_EQ(Rec.size(), 4u);
-  EXPECT_EQ(Rec.droppedCount(), 6u);
-
-  JsonValue Doc;
-  std::string Err;
-  ASSERT_TRUE(support::parseJson(Rec.toJson("job-k"), Doc, &Err)) << Err;
-  EXPECT_EQ(Doc.find("job")->StringVal, "job-k");
-  EXPECT_EQ(Doc.find("capacity")->NumberVal, 4.0);
-  EXPECT_EQ(Doc.find("dropped")->NumberVal, 6.0);
-  const JsonValue *Events = Doc.find("events");
-  ASSERT_NE(Events, nullptr);
-  ASSERT_TRUE(Events->isArray());
-  ASSERT_EQ(Events->Items.size(), 4u);
-  // Oldest six dropped: the survivors are e6..e9 in order.
-  EXPECT_EQ(Events->Items[0].find("kind")->StringVal, "e6");
-  EXPECT_EQ(Events->Items[3].find("kind")->StringVal, "e9");
-  EXPECT_EQ(Events->Items[0].find("a")->NumberVal, 6.0);
-  for (const JsonValue &E : Events->Items) {
-    ASSERT_NE(E.find("t_ms"), nullptr);
-    EXPECT_GE(E.find("t_ms")->NumberVal, 0.0);
-  }
-}
-
-TEST(FlightRecorderTest, DumpJsonWritesTheArtifact) {
-  TempFile Out("profile_test_recorder.json");
-  FlightRecorder Rec(8);
-  Rec.record("checkpoint", "verify.layer_input", 34, 3, 4352);
-  std::string Err;
-  ASSERT_TRUE(Rec.dumpJson(Out.path(), "k1", &Err)) << Err;
-  JsonValue Doc;
-  ASSERT_TRUE(support::parseJson(slurp(Out.path()), Doc, &Err)) << Err;
-  EXPECT_EQ(Doc.find("job")->StringVal, "k1");
-  EXPECT_EQ(Doc.find("events")->Items.size(), 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Scheduler artifact lifecycle
-//===----------------------------------------------------------------------===//
-
-TEST(SchedulerObservability, RecorderDumpsOnDeadlineAndProfilesStream) {
+TEST(SchedulerObservability, ProfilesStreamForCleanAndDegradedJobs) {
   TinySetup S;
   ScopedThreads T(2);
   TempFile Store("profile_test_store.jsonl");
   TempFile Profiles("profile_test_profiles.jsonl");
-  const std::string RecDir = "profile_test_recdir";
-  const std::string OkDump = RecDir + "/recorder-ok-job.json";
-  const std::string DeadDump = RecDir + "/recorder-dead-job.json";
-  std::remove(OkDump.c_str());
-  std::remove(DeadDump.c_str());
-  ::mkdir(RecDir.c_str(), 0755);
 
   JobQueue Q;
   JobSpec Ok;
@@ -451,13 +383,12 @@ TEST(SchedulerObservability, RecorderDumpsOnDeadlineAndProfilesStream) {
   JobSpec Dead = Ok;
   Dead.Id = "dead-job";
   Dead.Method = JobMethod::Precise;
-  Dead.DeadlineMs = 0; // forced expiry -> degrade to Fast, recorder dump
+  Dead.DeadlineMs = 0; // forced expiry -> degrade to Fast
   Q.push(Dead);
 
   SchedulerOptions SO;
   SO.JsonlPath = Store.path();
   SO.ProfileJsonlPath = Profiles.path();
-  SO.RecorderDir = RecDir;
   Scheduler Sched(S.Model, SO);
   std::vector<JobResult> Results = Sched.run(Q);
 
@@ -466,36 +397,11 @@ TEST(SchedulerObservability, RecorderDumpsOnDeadlineAndProfilesStream) {
   EXPECT_EQ(Results[1].Status, JobStatus::Degraded);
   EXPECT_TRUE(Results[1].DeadlineHit);
 
-  // A clean job leaves no artifact; the deadline-hit job leaves a valid
-  // one that names the job and shows the degradation path.
-  EXPECT_FALSE(fileExists(OkDump));
-  ASSERT_TRUE(fileExists(DeadDump));
-  JsonValue Doc;
-  std::string Err;
-  ASSERT_TRUE(support::parseJson(slurp(DeadDump), Doc, &Err)) << Err;
-  EXPECT_EQ(Doc.find("job")->StringVal, "dead-job");
-  const JsonValue *Events = Doc.find("events");
-  ASSERT_NE(Events, nullptr);
-  ASSERT_TRUE(Events->isArray());
-  ASSERT_FALSE(Events->Items.empty());
-  bool SawAttempt = false, SawDeadline = false;
-  for (const JsonValue &E : Events->Items) {
-    ASSERT_NE(E.find("t_ms"), nullptr);
-    ASSERT_NE(E.find("kind"), nullptr);
-    const std::string &Kind = E.find("kind")->StringVal;
-    if (Kind == "attempt_start")
-      SawAttempt = true;
-    if (Kind == "deadline" || Kind == "degrade")
-      SawDeadline = true;
-  }
-  EXPECT_TRUE(SawAttempt);
-  EXPECT_TRUE(SawDeadline);
-
   // Both executed jobs streamed a profile line; each parses and carries
   // the attribution schema, and the degraded job reports the method that
   // actually answered (fast).
   std::ifstream In(Profiles.path());
-  std::string Line;
+  std::string Line, Err;
   size_t Lines = 0;
   bool SawFastDead = false;
   while (std::getline(In, Line)) {
@@ -513,9 +419,6 @@ TEST(SchedulerObservability, RecorderDumpsOnDeadlineAndProfilesStream) {
   }
   EXPECT_EQ(Lines, 2u);
   EXPECT_TRUE(SawFastDead);
-
-  std::remove(DeadDump.c_str());
-  ::rmdir(RecDir.c_str());
 }
 
 } // namespace

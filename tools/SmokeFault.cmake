@@ -7,9 +7,10 @@
 # unsound_abstraction batch record (never `certified`),
 # deept_json_validate must reject a store containing a bare non-finite
 # token, and a --corpus that does not match the model's vocabulary, a
-# misspelled flag, an unknown command or a bad flag value must be a bad
-# argument (exit class 2). The byte-precise corruption corpus lives in
-# tests/serialize_test.cpp; this drill checks the CLI surface. Run via:
+# misspelled flag, an unknown command, a bad flag value or a bad jobs-file
+# value must be a bad argument (exit class 2). The byte-precise
+# corruption corpus lives in tests/serialize_test.cpp; this drill checks
+# the CLI surface. Run via:
 #   cmake -DDEEPT_CLI=... -DJSON_VALIDATE=... -DWORK_DIR=... -P SmokeFault.cmake
 
 include("${CMAKE_CURRENT_LIST_DIR}/SmokeCommon.cmake")
@@ -166,10 +167,10 @@ endif()
 # Drill 8: flag values are parsed strictly and checked before any work.
 # Each input below used to exit 0 having done nothing useful, crash
 # (SIGFPE, assert), or loop forever; each must now be a typed bad
-# argument (exit class 2) within the timeout. The last two cases are the
-# flags of removed features -- the f32 precision mode and batch
-# retry-with-backoff: a script that still passes one must fail, not
-# silently run without it.
+# argument (exit class 2) within the timeout. The last three cases are
+# the flags of removed features -- the f32 precision mode, batch
+# retry-with-backoff and the per-job event-log directory: a script that
+# still passes one must fail, not silently run without it.
 set(BadValueCases
     "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--cert-dir"
     "certify|--model|${Model}|--sentences|abc"
@@ -183,7 +184,8 @@ set(BadValueCases
     "certify|--model|${Model}|--verifier|bogus"
     "attack|--model|${Model}|--norm|l3"
     "certify|--model|${Model}|--precision|f32"
-    "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--max-retries|2")
+    "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--max-retries|2"
+    "batch|--model|${Model}|--jobs|${Jobs}|--out|${Results}|--recorder-dir|d")
 foreach(Case IN LISTS BadValueCases)
   string(REPLACE "|" ";" CaseArgs "${Case}")
   execute_process(
@@ -196,6 +198,32 @@ foreach(Case IN LISTS BadValueCases)
   if(NOT ErrOut MATCHES "bad_argument")
     message(FATAL_ERROR
         "bad flag value (${Case}): missing typed bad_argument: ${ErrOut}")
+  endif()
+endforeach()
+
+# Drill 9: jobs-file values that used to trip the radius search's range
+# assert (abort, losing every later job), run an infinite radius, or
+# leave a job skipped unrun under a repeated id are rejected before any
+# work: exit class 2 with a message naming the field.
+foreach(Case IN ITEMS
+    [=[eps|{"jobs":[{"seed":3,"eps":100,"search":true}]}]=]
+    [=[eps|{"jobs":[{"seed":3,"eps":1e-12,"search":true}]}]=]
+    [=[eps|{"jobs":[{"seed":3,"eps":1e999}]}]=]
+    [=[id|{"jobs":[{"id":"a","seed":3},{"id":"a","seed":4}]}]=])
+  string(FIND "${Case}" "|" Bar)
+  string(SUBSTRING "${Case}" 0 ${Bar} Field)
+  math(EXPR Start "${Bar} + 1")
+  string(SUBSTRING "${Case}" ${Start} -1 Doc)
+  file(WRITE "${WORK_DIR}/bad_jobs.json" "${Doc}")
+  execute_process(
+    COMMAND "${DEEPT_CLI}" batch --model "${Model}"
+            --jobs "${WORK_DIR}/bad_jobs.json" --out "${Results}"
+    TIMEOUT 10
+    RESULT_VARIABLE Rc ERROR_VARIABLE ErrOut OUTPUT_QUIET)
+  if(NOT Rc EQUAL 2 OR NOT ErrOut MATCHES "\"${Field}\"")
+    message(FATAL_ERROR
+        "bad jobs file (${Doc}): want rc=2 naming \"${Field}\", "
+        "got rc=${Rc}: ${ErrOut}")
   endif()
 endforeach()
 

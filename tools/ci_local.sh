@@ -38,7 +38,7 @@ fi
 # only definitions: the ci.yml tsan, asan and robustness jobs run these
 # stages. HeapPolicy.* skips under both sanitizers (their allocators
 # ignore mallopt); it runs so the skip stays visible. Verifier observers
-# (profiles, certificate builders, the deadline/recorder observer) run on
+# (profiles, certificate builders, the deadline observer) run on
 # pool workers inside scheduled jobs, so their suites run under TSan too.
 TSAN_FILTER='ParallelFor.*:TiledGemm.*:Determinism.*:HeapPolicy.*:Observer.*'
 TSAN_FILTER+=':StageLedger.*:SchedulerObservability.*:CertificateScheduler.*'
@@ -49,7 +49,6 @@ ASAN_FILTER+=':RadiusSearch*:FeedForwardVerifier.*:Scheduler.*'
 ASAN_FILTER+=':HeapPolicy.*:Observer.*:StageLedger.*'
 ROBUSTNESS_FILTER='Fault.*:Serialize.*:Io.*:Error.*:Json.*'
 ROBUSTNESS_FILTER+=':Scheduler.Recover*:Scheduler.Resume*:Scheduler.Fsync*'
-ROBUSTNESS_FILTER+=':Scheduler.Recorder*'
 ROBUSTNESS_FILTER+=':Scheduler.RecordCrc*:Scheduler.JobsFile*:HeapPolicy.*'
 SIMD_FILTER='KernelDispatch.*:KernelEquivalence.*'
 SIMD_FILTER+=':TiledGemm.*:Determinism.*:Refinement.*'
@@ -139,7 +138,7 @@ EOF
 }
 
 stage_observability() {
-  echo "== observability: profiles, flight recorder, stats JSON =="
+  echo "== observability: profiles, degraded-job record, stats JSON =="
   configure "$ROOT/build-ci/tier1"
   cmake --build "$ROOT/build-ci/tier1" -j "$JOBS" \
         --target deept_cli deept_json_validate
@@ -165,28 +164,40 @@ stage_observability() {
   }
 
   # A batch with one clean job and one forced deadline expiry: the
-  # expired job must leave a schema-valid flight-recorder artifact, the
-  # clean one must not.
+  # expired Precise job's store record must read degraded, deadline hit,
+  # answered by fast, and so must its profile line; the clean job stays
+  # ok.
   cat > "$Out/jobs.json" <<'EOF'
 {"jobs":[
   {"id":"ok","seed":3,"word":0,"norm":"l2","eps":0.02,"method":"fast"},
   {"id":"expire","seed":3,"word":0,"method":"precise","deadline_ms":0}
 ]}
 EOF
-  rm -rf "$Out/recorder" "$Out/results.jsonl" "$Out/batch_profiles.jsonl"
-  mkdir -p "$Out/recorder"
+  rm -f "$Out/results.jsonl" "$Out/batch_profiles.jsonl"
   DEEPT_MODEL_CACHE="$ROOT/deept-model-cache" \
     "$Cli" batch --model "$ROOT/deept-model-cache/sst_m3.dptm" \
       --jobs "$Out/jobs.json" --out "$Out/results.jsonl" \
-      --profile-out "$Out/batch_profiles.jsonl" \
-      --recorder-dir "$Out/recorder"
-  "$Validate" --schema recorder "$Out/recorder/recorder-expire.json"
-  [ ! -e "$Out/recorder/recorder-ok.json" ] || {
-    echo "observability: clean job must not leave a recorder dump" >&2
-    exit 1
-  }
+      --profile-out "$Out/batch_profiles.jsonl"
   "$Validate" --jsonl --schema profile "$Out/batch_profiles.jsonl"
   "$Validate" --jsonl --require-key key "$Out/results.jsonl"
+  local Expire Ok
+  Expire=$(grep '"key":"expire"' "$Out/results.jsonl")
+  Ok=$(grep '"key":"ok"' "$Out/results.jsonl")
+  for Want in '"status":"degraded"' '"deadline_hit":true' '"method":"fast"'; do
+    case "$Expire" in
+      *"$Want"*) ;;
+      *) echo "observability: expire record lacks $Want: $Expire" >&2
+         exit 1 ;;
+    esac
+  done
+  case "$Ok" in
+    *'"status":"ok"'*) ;;
+    *) echo "observability: clean job must stay ok: $Ok" >&2; exit 1 ;;
+  esac
+  grep -q '"query":"expire","method":"fast"' "$Out/batch_profiles.jsonl" || {
+    echo "observability: expire profile must report method fast" >&2
+    exit 1
+  }
 
   # The saved stats document is the metrics export: valid JSON with the
   # registry under "metrics", carrying the profile instruments.

@@ -5,15 +5,13 @@
 // Validates that each argument file parses as standard JSON (RFC 8259),
 // using the same support/Json parser the tests use. The smoke tests run
 // it over deept_cli's --trace-out / --stats-json artifacts, the bench
-// BENCH_*.json reports, the scheduler's JSONL result stores, and the
-// precision-observability artifacts (--profile-out JSONL and
-// flight-recorder dumps).
+// BENCH_*.json reports, the scheduler's JSONL result stores, the
+// --profile-out precision-profile JSONL and proof certificates.
 //
 //   deept_json_validate FILE [FILE...]
 //   deept_json_validate --require-key traceEvents FILE
 //   deept_json_validate --jsonl --require-key key results.jsonl
 //   deept_json_validate --jsonl --schema profile profiles.jsonl
-//   deept_json_validate --schema recorder recorder-k.json
 //   cat profiles.jsonl | deept_json_validate --jsonl --schema profile -
 //
 // --require-key KEY additionally demands a top-level object member named
@@ -21,8 +19,7 @@
 // for the following files: every non-empty line must parse as one JSON
 // document (and satisfy --require-key individually). --schema NAME
 // checks the document shape of the named artifact: "profile" (query,
-// margin_width, checkpoints[], attribution[]), "recorder" (job,
-// events[] with t_ms and kind per event) or "certificate" (the proof
+// margin_width, checkpoints[], attribution[]) or "certificate" (the proof
 // certificate envelope of verify/Certificate.h; structure only -- the
 // CRC and the interval replay belong to deept_check). "-" reads a file
 // from stdin.
@@ -82,21 +79,6 @@ bool checkSchema(const support::JsonValue &Doc, const std::string &Schema,
       }
     return true;
   }
-  if (Schema == "recorder") {
-    const support::JsonValue *Events = nullptr;
-    if (!Need("job") || !Need("events", &Events))
-      return false;
-    if (!Events->isArray()) {
-      Why = "\"events\" must be an array";
-      return false;
-    }
-    for (const support::JsonValue &E : Events->Items)
-      if (!E.find("t_ms") || !E.find("kind")) {
-        Why = "recorder events need \"t_ms\" and \"kind\"";
-        return false;
-      }
-    return true;
-  }
   if (Schema == "certificate") {
     // Structural check of the envelope only; the CRC and the actual
     // interval replay are deept_check's job.
@@ -133,7 +115,7 @@ bool checkSchema(const support::JsonValue &Doc, const std::string &Schema,
     return true;
   }
   Why = "unknown schema \"" + Schema +
-        "\" (want profile, recorder or certificate)";
+        "\" (want profile or certificate)";
   return false;
 }
 
@@ -229,7 +211,7 @@ int main(int Argc, char **Argv) {
   if (Checked == 0) {
     std::fprintf(stderr,
                  "usage: deept_json_validate [--jsonl] [--require-key KEY] "
-                 "[--schema profile|recorder|certificate] FILE|-...\n");
+                 "[--schema profile|certificate] FILE|-...\n");
     return 2;
   }
   return 0;
