@@ -128,6 +128,28 @@ getModel(const std::string &Name, const data::SyntheticCorpus &Corpus,
       });
 }
 
+/// The robustly trained 3-layer model of Tables 8 and 9 (synonym-swap +
+/// embedding-noise augmentation standing in for the paper's certified
+/// training; see DESIGN.md), loaded from or trained into the shared cache.
+inline nn::TransformerModel
+synonymRobustModel(const data::SyntheticCorpus &Corpus) {
+  return nn::getOrTrainCached(
+      nn::defaultModelCacheDir(), "synonym_robust_m3", [&] {
+        support::Rng Rng(0xb0b);
+        nn::TransformerModel M = nn::TransformerModel::init(
+            standardConfig(3), Corpus.embeddings(), Rng);
+        support::Rng DataRng(0xda7a);
+        auto Train = Corpus.sampleDataset(512, DataRng);
+        nn::TrainOptions Opts;
+        Opts.Steps = 350;
+        Opts.BatchSize = 16;
+        Opts.SynonymSwapProb = 0.8;
+        Opts.EmbedNoise = 0.03;
+        nn::trainTransformer(M, Corpus, Train, Opts);
+        return M;
+      });
+}
+
 /// Picks \p Count evaluation sentences classified correctly by every
 /// model (so per-model radii are comparable, as in Section 6.1).
 inline std::vector<data::Sentence>

@@ -16,39 +16,13 @@
 using namespace deept;
 using namespace deept::bench;
 
-namespace {
-
-/// Robustly trained 3-layer model (synonym-swap + embedding-noise
-/// augmentation standing in for the paper's certified training; see
-/// DESIGN.md).
-nn::TransformerModel robustModel(const data::SyntheticCorpus &Corpus) {
-  return nn::getOrTrainCached(
-      nn::defaultModelCacheDir(), "synonym_robust_m3", [&] {
-        support::Rng Rng(0xb0b);
-        nn::TransformerConfig Cfg = standardConfig(3);
-        nn::TransformerModel M =
-            nn::TransformerModel::init(Cfg, Corpus.embeddings(), Rng);
-        support::Rng DataRng(0xda7a);
-        auto Train = Corpus.sampleDataset(512, DataRng);
-        nn::TrainOptions Opts;
-        Opts.Steps = 350;
-        Opts.BatchSize = 16;
-        Opts.SynonymSwapProb = 0.8;
-        Opts.EmbedNoise = 0.03;
-        nn::trainTransformer(M, Corpus, Train, Opts);
-        return M;
-      });
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
   deept::bench::applyThreadFlags(Argc, Argv);
   printHeader("Table 8: certification against synonym attacks (T2)",
               "PLDI'21 Table 8");
 
   data::SyntheticCorpus Corpus(data::CorpusConfig::synonymRich(24));
-  nn::TransformerModel Model = robustModel(Corpus);
+  nn::TransformerModel Model = synonymRobustModel(Corpus);
 
   support::Rng AccRng(46);
   auto Holdout = Corpus.sampleDataset(300, AccRng);

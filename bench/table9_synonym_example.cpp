@@ -20,21 +20,7 @@ int main(int Argc, char **Argv) {
               "PLDI'21 Table 9");
 
   data::SyntheticCorpus Corpus(data::CorpusConfig::synonymRich(24));
-  nn::TransformerModel Model = nn::getOrTrainCached(
-      nn::defaultModelCacheDir(), "synonym_robust_m3", [&] {
-        support::Rng Rng(0xb0b);
-        nn::TransformerModel M = nn::TransformerModel::init(
-            standardConfig(3), Corpus.embeddings(), Rng);
-        support::Rng DataRng(0xda7a);
-        auto Train = Corpus.sampleDataset(512, DataRng);
-        nn::TrainOptions Opts;
-        Opts.Steps = 350;
-        Opts.BatchSize = 16;
-        Opts.SynonymSwapProb = 0.8;
-        Opts.EmbedNoise = 0.03;
-        nn::trainTransformer(M, Corpus, Train, Opts);
-        return M;
-      });
+  nn::TransformerModel Model = synonymRobustModel(Corpus);
 
   verify::VerifierConfig VC;
   VC.NoiseReductionBudget = 600;

@@ -45,8 +45,6 @@ public:
   /// Applies one update. \p Grads must align with registration order.
   void step(const std::vector<Matrix> &Grads);
 
-  size_t numParams() const { return Params.size(); }
-
 private:
   AdamOptions Opts;
   std::vector<Matrix *> Params;

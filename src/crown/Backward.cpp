@@ -36,23 +36,6 @@ void addInto(Matrix &Dst, const Matrix &Src) {
     Dst += Src;
 }
 
-/// Concretizes coefficients against per-element interval bounds:
-/// lower += sum_j min(A[r][j] * Lo_j, A[r][j] * Hi_j), mirrored above.
-void concretizeInterval(const Matrix &AL, const Matrix &AU, const Matrix &Lo,
-                        const Matrix &Hi, Matrix &BiasL, Matrix &BiasU) {
-  for (size_t R = 0; R < AL.rows(); ++R) {
-    double SumL = 0.0, SumU = 0.0;
-    for (size_t J = 0; J < AL.cols(); ++J) {
-      double L = AL.at(R, J);
-      SumL += L > 0 ? L * Lo.flat(J) : L * Hi.flat(J);
-      double U = AU.at(R, J);
-      SumU += U > 0 ? U * Hi.flat(J) : U * Lo.flat(J);
-    }
-    BiasL.at(R, 0) += SumL;
-    BiasU.at(R, 0) += SumU;
-  }
-}
-
 /// Concretizes coefficients at the input node with the perturbation's
 /// dual norm (Lemma 1): A x = A x0 +- eps ||A_masked||_q per row, or the
 /// weighted l1 form for per-dimension boxes.
@@ -108,9 +91,6 @@ BackwardResult deept::crown::computeBounds(const Graph &G, int Target,
   BackwardResult Result;
   Matrix BiasL(Dim, 1, 0.0), BiasU(Dim, 1, 0.0);
 
-  int StopLevel =
-      Opts.MaxLevelsBack < 0 ? -1 : TN.Level - Opts.MaxLevelsBack;
-
   // Accumulators keyed by node id; processed in decreasing id order
   // (ids are topological).
   std::map<int, Accumulator, std::greater<int>> Acc;
@@ -140,16 +120,6 @@ BackwardResult deept::crown::computeBounds(const Graph &G, int Target,
 
     if (Result.MemoryExceeded)
       return Result;
-
-    // Early stopping (CROWN-BaF): concretize with stored intervals. Nodes
-    // without materialised bounds (pure plumbing) are substituted through
-    // until a bounded ancestor is reached.
-    if (Id != Target && StopLevel >= 0 && N.Level <= StopLevel &&
-        N.HasBounds) {
-      concretizeInterval(A.AL, A.AU, N.Lo, N.Hi, BiasL, BiasU);
-      LiveBytes -= accumulatorBytes(A);
-      continue;
-    }
 
     switch (N.Kind) {
     case NodeKind::Input:
@@ -304,18 +274,11 @@ BackwardResult deept::crown::computeBounds(const Graph &G, int Target,
 bool deept::crown::computeAllBounds(Graph &G, const BackwardOptions &Opts,
                                     size_t *PeakBytes, size_t *TotalBytes) {
   // Only the inputs of nonlinear nodes need interval bounds: they feed
-  // the relaxations, and in BaF mode they double as the concretization
-  // frontier (backsubstitution passes through unbounded plumbing nodes
-  // until it reaches a bounded one). In BaF mode the inputs of AddTwo
-  // nodes are materialised as well: the residual spine would otherwise
-  // never offer a frontier and every query would walk back to the input,
-  // costing full-backward time.
+  // the relaxations.
   std::vector<bool> Needed(G.size(), false);
-  bool BaF = Opts.MaxLevelsBack >= 0;
   for (size_t I = 0; I < G.size(); ++I) {
     const Node &N = G.node(static_cast<int>(I));
-    if (N.Kind == NodeKind::Unary || N.Kind == NodeKind::Mul ||
-        (BaF && N.Kind == NodeKind::AddTwo)) {
+    if (N.Kind == NodeKind::Unary || N.Kind == NodeKind::Mul) {
       Needed[N.In0] = true;
       if (N.In1 >= 0)
         Needed[N.In1] = true;

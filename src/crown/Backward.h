@@ -6,17 +6,14 @@
 ///
 /// \file
 /// Bound computation by backward substitution of linear bounds through
-/// the computation graph:
-///
-/// * CROWN-Backward substitutes all the way to the input node and
-///   concretizes there with the dual norm of the perturbation -- precise
-///   but O(depth) per queried node, hence superlinear in network depth
-///   overall, with coefficient matrices whose total size is what blew the
-///   paper's GPU memory (Table 3); a byte budget reproduces that failure
-///   mode.
-/// * CROWN-BaF stops after a fixed number of Transformer layers and
-///   concretizes the frontier with previously computed interval bounds --
-///   linear time, much less precise on deep networks (Tables 1, 2).
+/// the computation graph, all the way to the input node, concretized
+/// there with the dual norm of the perturbation. CROWN-Backward bounds
+/// every intermediate node this way -- precise but O(depth) per queried
+/// node, hence superlinear in network depth overall, with coefficient
+/// matrices whose total size is what blew the paper's GPU memory
+/// (Table 3); a byte budget reproduces that failure mode. CROWN-BaF bounds
+/// the intermediates with the forward pass (crown/Forward.h) and uses
+/// backsubstitution only for the output margin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +26,6 @@ namespace deept {
 namespace crown {
 
 struct BackwardOptions {
-  /// How many Transformer layers (levels) to substitute back before
-  /// concretizing with stored interval bounds; negative = all the way to
-  /// the input (CROWN-Backward).
-  int MaxLevelsBack = -1;
   /// Abort when the peak live coefficient bytes *or* the cumulative
   /// allocated coefficient bytes exceed this budget (0 = unlimited).
   /// The cumulative volume is what grows superlinearly with depth and
@@ -54,8 +47,8 @@ struct BackwardResult {
 BackwardResult computeBounds(const Graph &G, int Target,
                              const BackwardOptions &Opts);
 
-/// Fills Node::Lo / Node::Hi for every node in topological order, using
-/// backsubstitution (per \p Opts) for each node. Returns false (and stops)
+/// Fills Node::Lo / Node::Hi, in topological order, for every node whose
+/// bounds a relaxation needs, by backsubstitution. Returns false (and stops)
 /// when the memory budget is exceeded. \p PeakBytes reports the largest
 /// single-query footprint and \p TotalBytes the cumulative allocation
 /// volume across queries.

@@ -31,7 +31,6 @@ CrownOutcome CrownVerifier::run(BuiltGraph &&Built) const {
     DEEPT_TRACE_SPAN("crown.intermediate_bounds");
     if (Config.Mode == CrownMode::Backward) {
       BackwardOptions Opts;
-      Opts.MaxLevelsBack = -1;
       Opts.MemoryBudgetBytes = Config.MemoryBudgetBytes;
       if (!computeAllBounds(Built.G, Opts, &Peak, &Total)) {
         Outcome.OutOfMemory = true;
@@ -56,7 +55,6 @@ CrownOutcome CrownVerifier::run(BuiltGraph &&Built) const {
   {
     DEEPT_TRACE_SPAN("crown.margin_backsub");
     BackwardOptions MarginOpts;
-    MarginOpts.MaxLevelsBack = -1;
     MarginOpts.MemoryBudgetBytes = Config.MemoryBudgetBytes;
     R = computeBounds(Built.G, Built.Margin, MarginOpts);
   }

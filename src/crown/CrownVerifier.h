@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The two baseline verifiers the paper compares against (Shi et al.
-/// 2020): CROWN-Backward (full backsubstitution) and CROWN-BaF
-/// (backward-and-forward: backsubstitution stopped after a fixed number
-/// of layers, concretized with forward interval bounds).
+/// 2020): CROWN-Backward (full backsubstitution for every bound) and
+/// CROWN-BaF (backward-and-forward: forward linear bounds for the
+/// intermediates, one full backsubstitution for the output margin).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,10 +27,6 @@ enum class CrownMode { Backward, BaF };
 
 struct CrownConfig {
   CrownMode Mode = CrownMode::BaF;
-  /// Retained for the K-level-backward experimental mode exposed by
-  /// crown::computeAllBounds; the BaF verifier itself uses the forward
-  /// linear-bound pass for intermediates.
-  int BaFLevelsBack = 1;
   /// Byte budget for backward coefficient matrices; 0 = unlimited.
   /// Models the paper's GPU memory exhaustion (Table 3).
   size_t MemoryBudgetBytes = 0;

@@ -8,19 +8,16 @@
 using namespace deept;
 using namespace deept::crown;
 
-int Graph::addInput(InputSpec Spec, int Level) {
+int Graph::addInput(InputSpec Spec) {
   assert(InputId < 0 && "only one input node is supported");
   Node N;
   N.Kind = NodeKind::Input;
   N.Dim = Spec.Center.cols();
-  N.Level = Level;
-  // Input bounds are immediate.
+  // Input bounds are immediate. For lp balls the per-dimension range is
+  // +- Eps on masked dims (the ball's bounding box), already encoded in
+  // Radius.
   N.Lo = Spec.Center - Spec.Radius;
   N.Hi = Spec.Center + Spec.Radius;
-  if (Spec.P != Matrix::InfNorm) {
-    // For lp balls the per-dimension range is +- Eps on masked dims (the
-    // ball's bounding box), already encoded in Radius.
-  }
   N.HasBounds = true;
   Nodes.push_back(std::move(N));
   Input = std::move(Spec);
@@ -28,69 +25,52 @@ int Graph::addInput(InputSpec Spec, int Level) {
   return InputId;
 }
 
-int Graph::addAffine(int In, const Matrix &W, Matrix B, int Level) {
+int Graph::addAffine(int In, const Matrix &W, Matrix B) {
   assert(In >= 0 && static_cast<size_t>(In) < Nodes.size() && "bad input");
   assert(W.rows() == Nodes[In].Dim && B.cols() == W.cols() &&
          B.rows() == 1 && "affine shape mismatch");
-  std::vector<Triplet> T;
+  Node N;
+  N.Kind = NodeKind::Affine;
+  N.Dim = W.cols();
+  N.InDim = Nodes[In].Dim;
+  N.In0 = In;
   for (size_t R = 0; R < W.rows(); ++R)
     for (size_t C = 0; C < W.cols(); ++C)
       if (W.at(R, C) != 0.0)
-        T.push_back({R, C, W.at(R, C)});
-  return addAffineSparse(In, std::move(T), W.cols(), std::move(B), Level);
-}
-
-int Graph::addAffineSparse(int In, std::vector<Triplet> W, size_t OutDim,
-                           Matrix B, int Level) {
-  assert(In >= 0 && static_cast<size_t>(In) < Nodes.size() && "bad input");
-  assert(B.cols() == OutDim && B.rows() == 1 && "affine bias mismatch");
-  Node N;
-  N.Kind = NodeKind::Affine;
-  N.Dim = OutDim;
-  N.InDim = Nodes[In].Dim;
-  N.In0 = In;
-  N.W = std::move(W);
+        N.W.push_back({R, C, W.at(R, C)});
   N.B = std::move(B);
-  N.Level = Level;
-#ifndef NDEBUG
-  for (const Triplet &T : N.W)
-    assert(T.In < N.InDim && T.Out < N.Dim && "triplet out of range");
-#endif
   Nodes.push_back(std::move(N));
   return static_cast<int>(Nodes.size()) - 1;
 }
 
-int Graph::addAddTwo(int A, int B, int Level) {
+int Graph::addAddTwo(int A, int B) {
   assert(Nodes[A].Dim == Nodes[B].Dim && "addTwo dimension mismatch");
   Node N;
   N.Kind = NodeKind::AddTwo;
   N.Dim = Nodes[A].Dim;
   N.In0 = A;
   N.In1 = B;
-  N.Level = Level;
   Nodes.push_back(std::move(N));
   return static_cast<int>(Nodes.size()) - 1;
 }
 
-int Graph::addUnary(int In, UnaryFn Fn, int Level) {
+int Graph::addUnary(int In, UnaryFn Fn) {
   Node N;
   N.Kind = NodeKind::Unary;
   N.Dim = Nodes[In].Dim;
   N.In0 = In;
   N.Fn = Fn;
-  N.Level = Level;
   Nodes.push_back(std::move(N));
   return static_cast<int>(Nodes.size()) - 1;
 }
 
-int Graph::addMul(int A, int B, int Level) {
+int Graph::addMul(int A, int B) {
   assert(Nodes[A].Dim == Nodes[B].Dim && "mul dimension mismatch");
   Node N;
   N.Kind = NodeKind::Mul;
   N.Dim = Nodes[A].Dim;
   N.In0 = A;
   N.In1 = B;
-  N.Level = Level;
   Nodes.push_back(std::move(N));
   return static_cast<int>(Nodes.size()) - 1;
 }

@@ -19,9 +19,9 @@
 ///              bilinear pieces of self-attention, via McCormick
 ///              relaxations during backsubstitution).
 ///
-/// Every node carries concrete interval bounds (filled in topological
-/// order by crown::computeAllBounds) and the "level" (Transformer layer
-/// index) used by CROWN-BaF's early stopping.
+/// Nodes carry concrete interval bounds, filled in topological order by
+/// crown::computeAllBounds (CROWN-Backward) or crown::computeForwardBounds
+/// (CROWN-BaF).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,28 +75,22 @@ struct Node {
   /// Concrete interval bounds (1 x Dim), filled by computeAllBounds.
   Matrix Lo, Hi;
   bool HasBounds = false;
-  /// Transformer layer index for CROWN-BaF early stopping.
-  int Level = 0;
 };
 
 /// An append-only DAG; node ids are topological by construction.
 class Graph {
 public:
-  int addInput(InputSpec Spec, int Level);
+  int addInput(InputSpec Spec);
   /// Adds y = x W + b; W is converted to sparse form internally.
-  int addAffine(int In, const Matrix &W, Matrix B, int Level);
-  /// Sparse-native variant.
-  int addAffineSparse(int In, std::vector<Triplet> W, size_t OutDim,
-                      Matrix B, int Level);
-  int addAddTwo(int A, int B, int Level);
-  int addUnary(int In, UnaryFn Fn, int Level);
-  int addMul(int A, int B, int Level);
+  int addAffine(int In, const Matrix &W, Matrix B);
+  int addAddTwo(int A, int B);
+  int addUnary(int In, UnaryFn Fn);
+  int addMul(int A, int B);
 
   size_t size() const { return Nodes.size(); }
   Node &node(int Id) { return Nodes[Id]; }
   const Node &node(int Id) const { return Nodes[Id]; }
   const InputSpec &inputSpec() const { return Input; }
-  int inputNode() const { return InputId; }
 
   /// Evaluates the graph concretely at an input assignment (tests /
   /// debugging). Returns the value of every node.

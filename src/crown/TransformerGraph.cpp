@@ -112,27 +112,26 @@ BuiltGraph deept::crown::buildTransformerGraph(
 
   BuiltGraph Built;
   Graph &G = Built.G;
-  int X = G.addInput(std::move(Spec), /*Level=*/0);
+  int X = G.addInput(std::move(Spec));
 
   for (size_t L = 0; L < Model.Layers.size(); ++L) {
     const nn::TransformerLayer &Layer = Model.Layers[L];
-    int Lv = static_cast<int>(L) + 1;
 
     int Q = G.addAffine(X, rightMatmulMap(N, E, Layer.Wq),
-                        tiledBias(N, Layer.Bq), Lv);
+                        tiledBias(N, Layer.Bq));
     int K = G.addAffine(X, rightMatmulMap(N, E, Layer.Wk),
-                        tiledBias(N, Layer.Bk), Lv);
+                        tiledBias(N, Layer.Bk));
     int V = G.addAffine(X, rightMatmulMap(N, E, Layer.Wv),
-                        tiledBias(N, Layer.Bv), Lv);
+                        tiledBias(N, Layer.Bv));
 
     int HeadsSum = -1;
     for (size_t H = 0; H < A; ++H) {
       int Qh = G.addAffine(Q, selectColsMap(N, E, H * Dk, (H + 1) * Dk),
-                           Matrix(1, N * Dk), Lv);
+                           Matrix(1, N * Dk));
       int Kh = G.addAffine(K, selectColsMap(N, E, H * Dk, (H + 1) * Dk),
-                           Matrix(1, N * Dk), Lv);
+                           Matrix(1, N * Dk));
       int Vh = G.addAffine(V, selectColsMap(N, E, H * Dk, (H + 1) * Dk),
-                           Matrix(1, N * Dk), Lv);
+                           Matrix(1, N * Dk));
 
       // Scores[i][j] = sum_k Qh[i][k] * Kh[j][k] * Scale. Broadcast Qh and
       // Kh to the (i, j, k) grid, multiply, then sum over k.
@@ -145,30 +144,29 @@ BuiltGraph deept::crown::buildTransformerGraph(
             QB.at(I * Dk + Kk, Out) = 1.0;
             KB.at(J * Dk + Kk, Out) = 1.0;
           }
-      int QBr = G.addAffine(Qh, std::move(QB), Matrix(1, N * N * Dk), Lv);
-      int KBr = G.addAffine(Kh, std::move(KB), Matrix(1, N * N * Dk), Lv);
-      int QK = G.addMul(QBr, KBr, Lv);
+      int QBr = G.addAffine(Qh, std::move(QB), Matrix(1, N * N * Dk));
+      int KBr = G.addAffine(Kh, std::move(KB), Matrix(1, N * N * Dk));
+      int QK = G.addMul(QBr, KBr);
       Matrix SumK(N * N * Dk, N * N);
       for (size_t P = 0; P < N * N; ++P)
         for (size_t Kk = 0; Kk < Dk; ++Kk)
           SumK.at(P * Dk + Kk, P) = Scale;
-      int Scores = G.addAffine(QK, std::move(SumK), Matrix(1, N * N), Lv);
+      int Scores = G.addAffine(QK, std::move(SumK), Matrix(1, N * N));
 
       // Naive softmax: exp, row sums, reciprocal, broadcast, multiply.
-      int Exped = G.addUnary(Scores, UnaryFn::Exp, Lv);
+      int Exped = G.addUnary(Scores, UnaryFn::Exp);
       Matrix RowSum(N * N, N);
       for (size_t I = 0; I < N; ++I)
         for (size_t J = 0; J < N; ++J)
           RowSum.at(I * N + J, I) = 1.0;
-      int Sums = G.addAffine(Exped, std::move(RowSum), Matrix(1, N), Lv);
-      int Recip = G.addUnary(Sums, UnaryFn::Recip, Lv);
+      int Sums = G.addAffine(Exped, std::move(RowSum), Matrix(1, N));
+      int Recip = G.addUnary(Sums, UnaryFn::Recip);
       Matrix RecipB(N, N * N);
       for (size_t I = 0; I < N; ++I)
         for (size_t J = 0; J < N; ++J)
           RecipB.at(I, I * N + J) = 1.0;
-      int RecipBr = G.addAffine(Recip, std::move(RecipB), Matrix(1, N * N),
-                                Lv);
-      int Probs = G.addMul(Exped, RecipBr, Lv);
+      int RecipBr = G.addAffine(Recip, std::move(RecipB), Matrix(1, N * N));
+      int Probs = G.addMul(Exped, RecipBr);
 
       // Out[(i,d)] = sum_j Probs[(i,j)] * Vh[(j,d)].
       Matrix PB(N * N, N * N * Dk);
@@ -180,72 +178,64 @@ BuiltGraph deept::crown::buildTransformerGraph(
             PB.at(I * N + J, Out) = 1.0;
             VB.at(J * Dk + D, Out) = 1.0;
           }
-      int PBr = G.addAffine(Probs, std::move(PB), Matrix(1, N * N * Dk), Lv);
-      int VBr = G.addAffine(Vh, std::move(VB), Matrix(1, N * N * Dk), Lv);
-      int PV = G.addMul(PBr, VBr, Lv);
+      int PBr = G.addAffine(Probs, std::move(PB), Matrix(1, N * N * Dk));
+      int VBr = G.addAffine(Vh, std::move(VB), Matrix(1, N * N * Dk));
+      int PV = G.addMul(PBr, VBr);
       Matrix SumJ(N * N * Dk, N * Dk);
       for (size_t I = 0; I < N; ++I)
         for (size_t J = 0; J < N; ++J)
           for (size_t D = 0; D < Dk; ++D)
             SumJ.at((I * N + J) * Dk + D, I * Dk + D) = 1.0;
-      int HeadOut = G.addAffine(PV, std::move(SumJ), Matrix(1, N * Dk), Lv);
+      int HeadOut = G.addAffine(PV, std::move(SumJ), Matrix(1, N * Dk));
 
       int Placed = G.addAffine(HeadOut, placeColsMap(N, Dk, E, H * Dk),
-                               Matrix(1, N * E), Lv);
-      HeadsSum = HeadsSum < 0 ? Placed : G.addAddTwo(HeadsSum, Placed, Lv);
+                               Matrix(1, N * E));
+      HeadsSum = HeadsSum < 0 ? Placed : G.addAddTwo(HeadsSum, Placed);
     }
 
     int Z = G.addAffine(HeadsSum, rightMatmulMap(N, E, Layer.Wo),
-                        tiledBias(N, Layer.Bo), Lv);
-    int V1 = G.addAddTwo(X, Z, Lv);
+                        tiledBias(N, Layer.Bo));
+    int V1 = G.addAddTwo(X, Z);
     auto LayerNorm = [&](int In, const Matrix &Gamma, const Matrix &Beta) {
-      int Centered =
-          G.addAffine(In, subRowMeanMap(N, E), Matrix(1, N * E), Lv);
+      int Centered = G.addAffine(In, subRowMeanMap(N, E), Matrix(1, N * E));
       if (C.LayerNormStdDiv) {
-        int Sq = G.addMul(Centered, Centered, Lv);
+        int Sq = G.addMul(Centered, Centered);
         Matrix MeanMap(N * E, N);
         for (size_t I = 0; I < N; ++I)
           for (size_t Cc = 0; Cc < E; ++Cc)
             MeanMap.at(I * E + Cc, I) = 1.0 / static_cast<double>(E);
-        int Var = G.addAffine(Sq, std::move(MeanMap),
-                              Matrix(1, N, C.LnEps), Lv);
-        int Std = G.addUnary(Var, UnaryFn::Sqrt, Lv);
-        int Inv = G.addUnary(Std, UnaryFn::Recip, Lv);
+        int Var = G.addAffine(Sq, std::move(MeanMap), Matrix(1, N, C.LnEps));
+        int Std = G.addUnary(Var, UnaryFn::Sqrt);
+        int Inv = G.addUnary(Std, UnaryFn::Recip);
         Matrix InvB(N, N * E);
         for (size_t I = 0; I < N; ++I)
           for (size_t Cc = 0; Cc < E; ++Cc)
             InvB.at(I, I * E + Cc) = 1.0;
-        int InvBr = G.addAffine(Inv, std::move(InvB), Matrix(1, N * E), Lv);
-        Centered = G.addMul(Centered, InvBr, Lv);
+        int InvBr = G.addAffine(Inv, std::move(InvB), Matrix(1, N * E));
+        Centered = G.addMul(Centered, InvBr);
       }
-      return G.addAffine(Centered, scaleColsMap(N, Gamma),
-                         tiledBias(N, Beta), Lv);
+      return G.addAffine(Centered, scaleColsMap(N, Gamma), tiledBias(N, Beta));
     };
     int X1 = LayerNorm(V1, Layer.Ln1Gamma, Layer.Ln1Beta);
 
     int Hid = G.addUnary(
         G.addAffine(X1, rightMatmulMap(N, E, Layer.W1),
-                    tiledBias(N, Layer.B1), Lv),
-        UnaryFn::Relu, Lv);
+                    tiledBias(N, Layer.B1)),
+        UnaryFn::Relu);
     int F = G.addAffine(Hid, rightMatmulMap(N, C.HiddenDim, Layer.W2),
-                        tiledBias(N, Layer.B2), Lv);
-    int V2 = G.addAddTwo(X1, F, Lv);
+                        tiledBias(N, Layer.B2));
+    int V2 = G.addAddTwo(X1, F);
     X = LayerNorm(V2, Layer.Ln2Gamma, Layer.Ln2Beta);
   }
 
   // Pooler and classifier.
-  int FinalLv = static_cast<int>(Model.Layers.size()) + 1;
-  int Pooled = G.addAffine(X, selectColsMap(1, N * E, 0, E),
-                           Matrix(1, E), FinalLv);
-  int PoolLin = G.addAffine(Pooled, Matrix(Model.PoolW),
-                            Matrix(Model.PoolB), FinalLv);
-  int Tn = G.addUnary(PoolLin, UnaryFn::Tanh, FinalLv);
-  Built.Logits =
-      G.addAffine(Tn, Matrix(Model.ClsW), Matrix(Model.ClsB), FinalLv);
+  int Pooled = G.addAffine(X, selectColsMap(1, N * E, 0, E), Matrix(1, E));
+  int PoolLin = G.addAffine(Pooled, Matrix(Model.PoolW), Matrix(Model.PoolB));
+  int Tn = G.addUnary(PoolLin, UnaryFn::Tanh);
+  Built.Logits = G.addAffine(Tn, Matrix(Model.ClsW), Matrix(Model.ClsB));
   Matrix MarginW(2, 1);
   MarginW.at(TrueClass, 0) = 1.0;
   MarginW.at(1 - TrueClass, 0) = -1.0;
-  Built.Margin =
-      G.addAffine(Built.Logits, std::move(MarginW), Matrix(1, 1), FinalLv);
+  Built.Margin = G.addAffine(Built.Logits, std::move(MarginW), Matrix(1, 1));
   return Built;
 }

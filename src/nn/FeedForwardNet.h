@@ -39,7 +39,6 @@ struct FeedForwardNet {
 
   size_t numLayers() const { return Weights.size(); }
   size_t inputDim() const { return Weights.front().rows(); }
-  size_t outputDim() const { return Weights.back().cols(); }
 
   /// Concrete forward: X is 1 x In, returns 1 x Out logits.
   Matrix forward(const Matrix &X) const;

@@ -21,8 +21,7 @@ using tensor::Matrix;
 
 namespace {
 
-// Little-endian "DPTM0001" / "DPTM0002".
-constexpr uint64_t MagicV1 = 0x4450544d30303031ULL;
+// Little-endian "DPTM0002".
 constexpr uint64_t MagicV2 = 0x4450544d30303032ULL;
 
 /// Upper bounds a header field must satisfy before anything is allocated.
@@ -55,10 +54,9 @@ public:
 
   bool readU64(uint64_t &V) { return read(&V, 8); }
 
-  /// Bytes left before the payload would run into the trailer (v2) or
-  /// the end of the file (v1).
-  uint64_t remaining(uint64_t TrailerBytes) const {
-    uint64_t Used = Consumed + TrailerBytes;
+  /// Bytes left before the payload would run into the 8-byte CRC trailer.
+  uint64_t remaining() const {
+    uint64_t Used = Consumed + 8;
     return Used > FileBytes ? 0 : FileBytes - Used;
   }
 
@@ -208,8 +206,7 @@ bool deept::nn::loadModel(const std::string &Path, TransformerModel &Model,
   if (!In.readU64(M0))
     return corrupt(Err, "serialize.magic",
                    "file shorter than the magic ('" + Path + "')");
-  bool Legacy = M0 == MagicV1;
-  if (!Legacy && M0 != MagicV2) {
+  if (M0 != MagicV2) {
     if (M0 >> 32 == MagicV2 >> 32)
       return corrupt(Err, "serialize.magic",
                      "unsupported .dptm format version");
@@ -218,7 +215,6 @@ bool deept::nn::loadModel(const std::string &Path, TransformerModel &Model,
   // The CRC covers everything after the magic, so the body gets a fresh
   // reader whose byte accounting also starts after the magic.
   Reader Body(F, FileBytes - 8);
-  const uint64_t TrailerBytes = Legacy ? 0 : 8;
 
   uint64_t Fields[7];
   for (uint64_t &V : Fields)
@@ -262,7 +258,7 @@ bool deept::nn::loadModel(const std::string &Path, TransformerModel &Model,
       return corrupt(Err, "serialize.matrix", "matrix implausibly large");
     // Truncation check *before* the allocation: the declared payload must
     // fit in the bytes the file actually has.
-    if (Body.remaining(TrailerBytes) < Elems * sizeof(double))
+    if (Body.remaining() < Elems * sizeof(double))
       return corrupt(Err, "serialize.matrix",
                      "file too short for the declared payload");
     *NM.M = Matrix(Rows, Cols);
@@ -275,17 +271,15 @@ bool deept::nn::loadModel(const std::string &Path, TransformerModel &Model,
                        "non-finite weight in the payload");
   }
 
-  if (!Legacy) {
-    uint32_t Expected = Body.crc();
-    uint64_t Trailer = 0;
-    if (std::fread(&Trailer, 8, 1, F) != 1)
-      return corrupt(Err, "serialize.trailer", "truncated before the CRC");
-    if (static_cast<uint32_t>(Trailer) != Expected)
-      return corrupt(Err, "serialize.trailer", "CRC32 mismatch");
-  }
+  uint32_t Expected = Body.crc();
+  uint64_t Trailer = 0;
+  if (std::fread(&Trailer, 8, 1, F) != 1)
+    return corrupt(Err, "serialize.trailer", "truncated before the CRC");
+  if (static_cast<uint32_t>(Trailer) != Expected)
+    return corrupt(Err, "serialize.trailer", "CRC32 mismatch");
   // Trailing garbage after the trailer means the file is not what the
   // writer produced.
-  if (Body.remaining(TrailerBytes) != 0)
+  if (Body.remaining() != 0)
     return corrupt(Err, "serialize.trailer",
                    "trailing bytes after the model payload");
 
@@ -308,15 +302,13 @@ TransformerModel deept::nn::getOrTrainCached(
   Error Err;
   if (loadModel(Path, Model, &Err))
     return Model;
-  // A cold cache is normal; a corrupt one is worth a warning before the
-  // fallback retraining replaces it.
+  // Only a cold cache trains. A file that is there but does not load is
+  // reported, never retrained over: the cache holds tracked models.
   if (Err.code() != ErrorCode::ModelNotFound)
-    std::fprintf(stderr,
-                 "warning: model cache '%s' is unusable (%s); retraining\n",
-                 Path.c_str(), Err.what());
+    throw Err;
   Model = TrainFn();
   if (!saveModel(Path, Model, &Err))
-    std::fprintf(stderr, "warning: cannot refresh model cache '%s' (%s)\n",
+    std::fprintf(stderr, "warning: cannot write model cache '%s' (%s)\n",
                  Path.c_str(), Err.what());
   return Model;
 }

@@ -21,11 +21,9 @@
 /// file size, rejects non-finite weights, and verifies a CRC32 over
 /// header + payload. Failures are typed support::Error values
 /// (model_not_found / model_corrupt / io_error), never crashes or
-/// silently wrong models. Saves are atomic (write temp + rename).
-///
-/// Version-1 files (no trailer) predate the checksum and still load --
-/// the tracked bench model caches are v1 -- with every structural check
-/// except the CRC.
+/// silently wrong models. Saves are atomic (write temp + rename). Any
+/// other magic, including the retired trailer-less version 1, is
+/// model_corrupt.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +56,10 @@ bool loadModel(const std::string &Path, TransformerModel &Model,
 /// any allocation; exposed for tests.
 bool validateConfig(const TransformerConfig &Config, std::string *Why);
 
-/// Loads "CacheDir/Name.dptm" if present and valid, otherwise invokes
-/// \p TrainFn and stores the result. A corrupt or stale cache file is
-/// reported to stderr and replaced by retraining -- never trusted.
-/// CacheDir is created if missing.
+/// Loads "CacheDir/Name.dptm"; only when no such file exists does it
+/// invoke \p TrainFn and store the result. A file that exists but does
+/// not load throws its typed support::Error and is left as it is -- never
+/// trusted, never retrained over. CacheDir is created if missing.
 TransformerModel
 getOrTrainCached(const std::string &CacheDir, const std::string &Name,
                  const std::function<TransformerModel()> &TrainFn);

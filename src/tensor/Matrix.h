@@ -162,7 +162,7 @@ public:
 
   /// Applies \p Fn to every element in place. The std::function overload
   /// stays for callers that store the function (the autograd tape); hot
-  /// paths use the templated applyFn/mapFn below, which inline the functor
+  /// paths use the templated applyFn below, which inlines the functor
   /// and run large matrices through the thread pool.
   void apply(const std::function<double(double)> &Fn);
 
@@ -179,13 +179,6 @@ public:
                            for (size_t I = I0; I < I1; ++I)
                              D[I] = Fn(D[I]);
                          });
-  }
-
-  /// Templated copy-and-map counterpart of applyFn.
-  template <typename FnT> Matrix mapFn(FnT &&Fn) const {
-    Matrix M = *this;
-    M.applyFn(Fn);
-    return M;
   }
 
   /// Sum of all elements.

@@ -172,9 +172,10 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
     return Fail("jobs document needs a top-level \"jobs\" array");
 
   // A job's key (its id, or the digest of its query) names its store
-  // record and certificate: a repeated one would make --resume skip the
-  // second job unrun, or write two store records and one certificate
-  // under one key.
+  // record and, through fileSafe, its certificate file: a repeated one
+  // would make --resume skip the second job unrun, or write two store
+  // records and one certificate under one name. Keys are compared as
+  // file names, so ids such as "a/b" and "a_b" collide too.
   std::set<std::string> Keys;
   for (size_t I = 0; I < Jobs->Items.size(); ++I) {
     const support::JsonValue &J = Jobs->Items[I];
@@ -276,9 +277,10 @@ bool JobQueue::fromJson(const support::JsonValue &Doc,
       S.NoiseReductionBudget = static_cast<size_t>(Whole);
     }
     std::string Key = Scheduler::jobKey(S);
-    if (!Keys.insert(Key).second)
+    if (!Keys.insert(fileSafe(Key)).second)
       return Fail(Where + ": key \"" + Key +
-                  "\" repeats an earlier job's (a repeated \"id\", or the "
+                  "\" repeats an earlier job's (a repeated \"id\", an "
+                  "\"id\" that names the same certificate file, or the "
                   "same query without one)");
     Out.push(std::move(S));
   }
@@ -578,6 +580,8 @@ void executeOne(const nn::TransformerModel &Model, const JobSpec &Spec,
     Observers.push_back(&*CertBuilder);
   auto MarginAt = [&](double Radius) -> double {
     D.check(); // per-probe check (covers the CROWN paths too)
+    if (Prof)
+      Prof->Eps = Radius; // the profile holds this probe's run
     double M = probeMargin(Model, Spec, Method, Radius, Observers);
     if (CertBuilder && M > 0.0)
       *Cert = CertBuilder->Data;
@@ -711,7 +715,6 @@ std::vector<JobResult> Scheduler::run(const JobQueue &Queue) const {
         Prof.emplace();
         Prof->Query = R.Key;
         Prof->Norm = normToken(Spec.P);
-        Prof->Eps = Spec.Epsilon;
       }
       std::optional<CertificateData> Cert;
       if (!Opts.CertDir.empty())

@@ -112,13 +112,10 @@ flattenEpsViews(const std::vector<EpsBlockView> &Views, size_t NumEps) {
   return Refs;
 }
 
-/// Builds a block list in ascending symbol order, merging adjacent blocks
-/// of the same kind so the list stays short. Dense rows appended one at a
-/// time are buffered and flushed as a single block.
+/// Builds a block list in ascending symbol order, merging adjacent zero
+/// and diagonal appends so the list stays short.
 class EpsBlockListBuilder {
 public:
-  explicit EpsBlockListBuilder(size_t NumVars) : NumVars(NumVars) {}
-
   void zero(size_t Syms) {
     if (Syms == 0)
       return;
@@ -131,16 +128,8 @@ public:
     PendingDiag.emplace_back(Var, Coef);
   }
 
-  /// Appends one zero-initialised dense row and returns it for filling.
-  double *denseRow() {
-    flushExcept(EpsBlockKind::Dense);
-    PendingDense.resize(PendingDense.size() + NumVars, 0.0);
-    ++PendingDenseRows;
-    return PendingDense.data() + (PendingDenseRows - 1) * NumVars;
-  }
-
-  /// Appends a whole dense block (Rows x NumVars), adopting the matrix as
-  /// a block of its own (no copy). Adjacent dense blocks produced this way
+  /// Appends a whole dense block (one row per symbol), adopting the
+  /// matrix as a block of its own (no copy). Adjacent dense blocks produced this way
   /// stay separate, which every reader handles.
   void dense(Matrix Rows) {
     if (Rows.rows() == 0)
@@ -180,23 +169,11 @@ private:
       Blocks.push_back(std::move(B));
       PendingDiag.clear();
     }
-    if (Keep != EpsBlockKind::Dense && PendingDenseRows > 0) {
-      EpsBlock B;
-      B.Kind = EpsBlockKind::Dense;
-      B.D = Matrix(PendingDenseRows, NumVars);
-      std::copy(PendingDense.begin(), PendingDense.end(), B.D.data());
-      Blocks.push_back(std::move(B));
-      PendingDense.clear();
-      PendingDenseRows = 0;
-    }
   }
 
-  size_t NumVars;
   std::deque<EpsBlock> Blocks;
   size_t PendingZero = 0;
   std::vector<std::pair<size_t, double>> PendingDiag;
-  std::vector<double> PendingDense;
-  size_t PendingDenseRows = 0;
 };
 
 } // namespace zono

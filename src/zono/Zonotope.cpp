@@ -421,7 +421,7 @@ Zonotope Zonotope::add(const Zonotope &O) && {
       return 2; // needs a dense row
     return 1;   // diagonal result
   };
-  EpsBlockListBuilder Bld(N);
+  EpsBlockListBuilder Bld;
   size_t S = 0;
   while (S < E) {
     int Cls = RunClass(S);
@@ -972,7 +972,7 @@ Zonotope Zonotope::concatCols(const std::vector<Zonotope> &Parts) {
       return 0;
     return (NonZero == 1 && !HasDense) ? 1 : 2;
   };
-  EpsBlockListBuilder Bld(Rows * Cols);
+  EpsBlockListBuilder Bld;
   size_t S = 0;
   while (S < MaxEps) {
     int Cls = Classify(S);

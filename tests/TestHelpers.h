@@ -47,21 +47,17 @@ private:
   size_t Prev;
 };
 
-/// Loads the cached model \p Name (e.g. "sst_m12") into \p Model. Looks in
-/// nn::defaultModelCacheDir() -- DEEPT_MODEL_CACHE when set, else the
-/// working directory's deept-model-cache -- then in the tracked copy under
-/// the source tree's deept-model-cache. Returns false when neither holds a
-/// loadable model; callers skip.
-inline bool loadCachedModel(const std::string &Name,
-                            nn::TransformerModel &Model) {
-  const std::string Candidates[] = {
-      nn::defaultModelCacheDir() + "/" + Name + ".dptm",
-      std::string(DEEPT_SOURCE_DIR) + "/deept-model-cache/" + Name + ".dptm",
-  };
-  for (const std::string &Path : Candidates)
-    if (nn::loadModel(Path, Model))
-      return true;
-  return false;
+/// Loads the tracked model \p Name (e.g. "sst_m12") from the source tree's
+/// deept-model-cache. A model that does not load throws its typed
+/// support::Error, which fails the calling test.
+inline nn::TransformerModel loadCachedModel(const std::string &Name) {
+  nn::TransformerModel Model;
+  support::Error Err;
+  if (!nn::loadModel(std::string(DEEPT_SOURCE_DIR) + "/deept-model-cache/" +
+                         Name + ".dptm",
+                     Model, &Err))
+    throw Err;
+  return Model;
 }
 
 /// A random Multi-norm Zonotope with dense coefficients (tests only).

@@ -37,17 +37,17 @@ InputSpec boxInput(Matrix Center, double Radius) {
 TEST(CrownForward, ExactOnAffineChain) {
   support::Rng Rng(1);
   Graph G;
-  int X = G.addInput(boxInput(Matrix::randn(1, 4, Rng), 0.1), 0);
+  int X = G.addInput(boxInput(Matrix::randn(1, 4, Rng), 0.1));
   Matrix W1 = Matrix::randn(4, 3, Rng), B1 = Matrix::randn(1, 3, Rng);
   Matrix W2 = Matrix::randn(3, 2, Rng), B2 = Matrix::randn(1, 2, Rng);
-  int H = G.addAffine(X, W1, B1, 1);
-  int Y = G.addAffine(H, W2, B2, 2);
+  int H = G.addAffine(X, W1, B1);
+  int Y = G.addAffine(H, W2, B2);
   ASSERT_TRUE(computeForwardBounds(G, ForwardOptions()));
   // Compare against the (exact for affine) backward bounds.
   Graph G2;
-  int X2 = G2.addInput(G.inputSpec(), 0);
-  int H2 = G2.addAffine(X2, W1, B1, 1);
-  int Y2 = G2.addAffine(H2, W2, B2, 2);
+  int X2 = G2.addInput(G.inputSpec());
+  int H2 = G2.addAffine(X2, W1, B1);
+  int Y2 = G2.addAffine(H2, W2, B2);
   (void)H2;
   BackwardResult R = computeBounds(G2, Y2, BackwardOptions());
   EXPECT_TRUE(tensor::allClose(G.node(Y).Lo, R.Lo, 1e-9));
@@ -58,12 +58,12 @@ TEST(CrownForward, SoundThroughNonlinearChain) {
   support::Rng Rng(2);
   Graph G;
   Matrix Center = Matrix::randn(1, 3, Rng);
-  int X = G.addInput(boxInput(Center, 0.25), 0);
+  int X = G.addInput(boxInput(Center, 0.25));
   Matrix W = Matrix::randn(3, 3, Rng);
-  int H = G.addAffine(X, W, Matrix::randn(1, 3, Rng), 1);
-  int R1 = G.addUnary(H, UnaryFn::Relu, 1);
-  int M = G.addMul(R1, H, 1);
-  int T = G.addUnary(M, UnaryFn::Tanh, 2);
+  int H = G.addAffine(X, W, Matrix::randn(1, 3, Rng));
+  int R1 = G.addUnary(H, UnaryFn::Relu);
+  int M = G.addMul(R1, H);
+  int T = G.addUnary(M, UnaryFn::Tanh);
   ASSERT_TRUE(computeForwardBounds(G, ForwardOptions()));
   const Node &Out = G.node(T);
   for (int I = 0; I < 300; ++I) {
@@ -81,12 +81,12 @@ TEST(CrownForward, SoundThroughNonlinearChain) {
 TEST(CrownForward, MemoryBudgetAborts) {
   support::Rng Rng(3);
   Graph G;
-  int X = G.addInput(boxInput(Matrix::randn(1, 16, Rng), 0.1), 0);
+  int X = G.addInput(boxInput(Matrix::randn(1, 16, Rng), 0.1));
   int H = X;
   for (int L = 0; L < 3; ++L)
     H = G.addUnary(G.addAffine(H, Matrix::randn(16, 16, Rng),
-                               Matrix(1, 16), L + 1),
-                   UnaryFn::Relu, L + 1);
+                               Matrix(1, 16)),
+                   UnaryFn::Relu);
   ForwardOptions Opts;
   Opts.MemoryBudgetBytes = 256;
   size_t Peak = 0, Total = 0;
@@ -156,8 +156,8 @@ TEST(CrownForward, SharedOperandMulIsHandled) {
   support::Rng Rng(8);
   Graph G;
   Matrix Center = Matrix::randn(1, 3, Rng);
-  int X = G.addInput(boxInput(Center, 0.2), 0);
-  int Sq = G.addMul(X, X, 1);
+  int X = G.addInput(boxInput(Center, 0.2));
+  int Sq = G.addMul(X, X);
   ASSERT_TRUE(computeForwardBounds(G, ForwardOptions()));
   const Node &Out = G.node(Sq);
   for (int I = 0; I < 100; ++I) {

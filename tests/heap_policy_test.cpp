@@ -38,9 +38,7 @@ TEST(HeapPolicy, SteadyStateProbeDoesNotRefaultTheHeap) {
 #ifndef DEEPT_HEAP_POLICY_TESTABLE
   GTEST_SKIP() << "heap policy is glibc-only and ignored under sanitizers";
 #else
-  nn::TransformerModel Model;
-  if (!testhelp::loadCachedModel("sst_m12", Model))
-    GTEST_SKIP() << "cached sst_m12.dptm not found";
+  nn::TransformerModel Model = testhelp::loadCachedModel("sst_m12");
   // RUSAGE_THREAD counts the calling thread only: run the probe there.
   ScopedThreads T(1);
 

@@ -780,9 +780,7 @@ data::Sentence sstLongPinSentence(const nn::TransformerModel &Model) {
 /// skipping misclassified sentences. Also asserts 1/2/8-thread identity
 /// on the same margins.
 TEST(KernelEquivalence, CachedSstMarginsBitIdenticalToPreFusionRelease) {
-  nn::TransformerModel Model;
-  if (!testhelp::loadCachedModel("sst_m12", Model))
-    GTEST_SKIP() << "cached sst_m12.dptm not found";
+  nn::TransformerModel Model = testhelp::loadCachedModel("sst_m12");
   if (!tensor::isaAvailable(Isa::Scalar))
     GTEST_SKIP() << "scalar table unavailable";
   ScopedIsa Sc(Isa::Scalar);
@@ -870,9 +868,7 @@ TEST(KernelEquivalence, CachedSstMarginsBitIdenticalToPreFusionRelease) {
 /// these margins comes out bit-equal on every ISA, so its pins would not
 /// tell the lane orders apart.
 TEST(KernelEquivalence, CachedSstPreciseMarginsPinnedPerIsa) {
-  nn::TransformerModel Model;
-  if (!testhelp::loadCachedModel("sst_m3", Model))
-    GTEST_SKIP() << "cached sst_m3.dptm not found";
+  nn::TransformerModel Model = testhelp::loadCachedModel("sst_m3");
   std::vector<data::Sentence> Sentences = sstPinSentences(Model);
 
   struct Pin {

@@ -457,9 +457,7 @@ struct SelfTimeSum : verify::Observer {
 };
 
 TEST(StageLedger, SelfTimesAccountForTheWallTime) {
-  nn::TransformerModel Model;
-  if (!testhelp::loadCachedModel("sst_m12", Model))
-    GTEST_SKIP() << "cached sst_m12.dptm not found";
+  nn::TransformerModel Model = testhelp::loadCachedModel("sst_m12");
   data::SyntheticCorpus Corpus(
       data::CorpusConfig::sstLike(Model.Config.EmbedDim));
   support::Rng Rng(2);

@@ -216,13 +216,9 @@ TEST(Determinism, CertifiedMarginsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-/// Same contract against the cached SST model used by the bench tables,
-/// when it is available (the tracked copy lives in the source tree's
-/// deept-model-cache; set DEEPT_MODEL_CACHE to point elsewhere).
+/// Same contract against the tracked SST model used by the bench tables.
 TEST(Determinism, CachedSstModelRadiiBitIdentical) {
-  nn::TransformerModel Model;
-  if (!testhelp::loadCachedModel("sst_m12", Model))
-    GTEST_SKIP() << "cached sst_m12.dptm not found";
+  nn::TransformerModel Model = testhelp::loadCachedModel("sst_m12");
 
   data::SyntheticCorpus Corpus(
       data::CorpusConfig::sstLike(Model.Config.EmbedDim));

@@ -421,4 +421,44 @@ TEST(SchedulerObservability, ProfilesStreamForCleanAndDegradedJobs) {
   EXPECT_TRUE(SawFastDead);
 }
 
+/// A search job's profile line holds its last probe's run, so the eps it
+/// streams must be that probe's radius: re-probing at the streamed eps
+/// reproduces the streamed margin_lo bit for bit.
+TEST(SchedulerObservability, SearchJobProfileStampsTheProbedEps) {
+  TinySetup S;
+  TempFile Profiles("profile_test_search_profiles.jsonl");
+  JobSpec J;
+  J.Id = "search-job";
+  J.Tokens = S.Sent.Tokens;
+  J.TrueClass = S.Sent.Label;
+  J.Word = 0;
+  J.P = 2.0;
+  J.Epsilon = 0.05;
+  J.SearchRadius = true;
+  J.Method = JobMethod::Fast;
+  J.NoiseReductionBudget = 128;
+  JobQueue Q;
+  Q.push(J);
+
+  SchedulerOptions SO;
+  SO.ProfileJsonlPath = Profiles.path();
+  std::vector<JobResult> Results = Scheduler(S.Model, SO).run(Q);
+  ASSERT_EQ(Results.size(), 1u);
+  ASSERT_EQ(Results[0].Status, JobStatus::Ok);
+  ASSERT_GT(Results[0].Radius, 0.0);
+
+  std::ifstream In(Profiles.path());
+  std::string Line, Err;
+  ASSERT_TRUE(std::getline(In, Line));
+  JsonValue P;
+  ASSERT_TRUE(support::parseJson(Line, P, &Err)) << Err;
+  double Eps = P.find("eps")->NumberVal;
+  double MarginLo = P.find("margin_lo")->NumberVal;
+  // The search probes radii other than the job's fixed eps, so a line
+  // stamped with Spec.Epsilon would not match its margin.
+  EXPECT_NE(Eps, J.Epsilon);
+  EXPECT_EQ(verify::probeMargin(S.Model, J, JobMethod::Fast, Eps), MarginLo)
+      << "eps " << Eps;
+}
+
 } // namespace

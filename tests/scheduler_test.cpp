@@ -411,15 +411,19 @@ TEST(Scheduler, JobQueueRejectsMalformedIntegerFields) {
 /// A job's key (its id, or the digest of its query) names its store
 /// record: a repeated one would make --resume skip the second job unrun,
 /// or write two records and one certificate under one key. A repeated
-/// "id" and a repeated query without one (the deadline is not part of
-/// the derived key) are both rejected, naming the job and the field.
+/// "id", two ids that name one certificate file, and a repeated query
+/// without one (the deadline is not part of the derived key) are all
+/// rejected, naming the job and the field.
 TEST(Scheduler, JobQueueRejectsRepeatedKey) {
   TinySetup S;
   for (const char *Text :
        {R"({"jobs":[{"id":"a","seed":1,"eps":0.02},{"id":"b","seed":1},)"
         R"({"id":"a","seed":2,"eps":0.05}]})",
         R"({"jobs":[{"seed":3,"eps":0.02},{"id":"b","seed":1},)"
-        R"({"seed":3,"eps":0.02,"deadline_ms":0}]})"}) {
+        R"({"seed":3,"eps":0.02,"deadline_ms":0}]})",
+        // Distinct ids that name one certificate file (cert-a_b.json).
+        R"({"jobs":[{"id":"a/b","seed":1},{"id":"b","seed":1},)"
+        R"({"id":"a_b","seed":2,"method":"precise"}]})"}) {
     support::JsonValue Doc;
     ASSERT_TRUE(support::parseJson(Text, Doc));
     JobQueue Q;

@@ -2,14 +2,16 @@
 //
 // The corrupted-model corpus: every mangled .dptm variant must fail with
 // a typed support::Error -- never crash, never silently succeed. Also
-// covers the legacy v1 format, the config validator, the crash-safe IO
-// helpers and the corrupt-cache retraining fallback.
+// covers the config validator, the crash-safe IO helpers, the model
+// cache (a corrupt file throws, never retrains) and the guard that every
+// model the benches use loads from the tracked cache.
 //
 //===----------------------------------------------------------------------===//
 
 #include "data/SyntheticCorpus.h"
 #include "nn/Serialize.h"
 #include "nn/Transformer.h"
+#include "support/Crc.h"
 #include "support/Error.h"
 #include "support/Io.h"
 #include "support/Rng.h"
@@ -81,7 +83,8 @@ struct Variant {
 
 /// The corrupted-model corpus: truncations at every structural boundary,
 /// bit flips in the header / payload / trailer, magic and version
-/// mangles, implausible dimensions and trailing garbage.
+/// mangles (the retired trailer-less v1 among them), implausible
+/// dimensions and trailing garbage.
 std::vector<Variant> corruptedCorpus() {
   const std::string &V = validBytes();
   auto Mut = [&](size_t Off, uint64_t Val) {
@@ -98,6 +101,8 @@ std::vector<Variant> corruptedCorpus() {
   std::memcpy(&NotAModel[0], "GARBAGE!", 8);
   std::string FutureVersion = V;
   FutureVersion[0] = '3'; // DPTM0002 -> DPTM0003 (little-endian byte 0)
+  std::string LegacyV1 = V.substr(0, V.size() - 8); // v1 had no trailer
+  LegacyV1[0] = '1';
 
   return {
       {"empty", ""},
@@ -111,6 +116,7 @@ std::vector<Variant> corruptedCorpus() {
       {"last-byte-gone", V.substr(0, V.size() - 1)},
       {"magic-bit-flip", Flip(5, 0x01)},
       {"future-version", FutureVersion},
+      {"legacy-v1", LegacyV1},
       {"not-a-model", NotAModel},
       {"zero-vocab", Mut(8, 0)},
       {"huge-vocab", Mut(8, uint64_t(1) << 40)},
@@ -126,14 +132,6 @@ std::vector<Variant> corruptedCorpus() {
   };
 }
 
-/// Rewrites the v2 bytes as a legacy v1 file: v1 has no CRC trailer and
-/// the version byte '1'.
-std::string asLegacyV1(std::string Bytes) {
-  Bytes.resize(Bytes.size() - 8);
-  Bytes[0] = '1';
-  return Bytes;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -147,12 +145,9 @@ TEST(Serialize, CorruptedModelCorpusFailsTyped) {
     TransformerModel M;
     Error Err;
     EXPECT_FALSE(loadModel(Path, M, &Err)) << Var.Name;
-    bool Typed = Err.code() == ErrorCode::ModelCorrupt ||
-                 Err.code() == ErrorCode::ModelNotFound ||
-                 Err.code() == ErrorCode::IoError;
-    EXPECT_TRUE(Typed) << Var.Name << " gave code "
-                       << support::errorCodeName(Err.code()) << ": "
-                       << Err.what();
+    EXPECT_EQ(Err.code(), ErrorCode::ModelCorrupt)
+        << Var.Name << " gave code " << support::errorCodeName(Err.code())
+        << ": " << Err.what();
     // A rejected file must leave the destination model untouched.
     EXPECT_TRUE(M.Layers.empty()) << Var.Name;
   }
@@ -195,48 +190,26 @@ TEST(Serialize, FailedLoadLeavesDestinationUntouched) {
   std::remove(Bad.c_str());
 }
 
-//===----------------------------------------------------------------------===//
-// Legacy v1 format
-//===----------------------------------------------------------------------===//
-
-TEST(Serialize, LegacyV1StillLoads) {
-  std::string Path = ::testing::TempDir() + "/serialize_v1.dptm";
-  writeFileBytes(Path, asLegacyV1(validBytes()));
-  TransformerModel Ref = tinyModel();
-  TransformerModel M;
-  Error Err;
-  ASSERT_TRUE(loadModel(Path, M, &Err)) << Err.what();
-  EXPECT_EQ(M.Config.EmbedDim, 16u);
-  EXPECT_EQ(M.Layers.size(), 1u);
-  EXPECT_TRUE(tensor::allClose(M.ClsW, Ref.ClsW, 0.0));
-  std::remove(Path.c_str());
-}
-
 TEST(Serialize, NonFiniteWeightRejected) {
-  // v1 has no CRC, so a NaN planted in the payload exercises the
-  // dedicated non-finite check rather than the checksum. The first
-  // payload double sits at offset 88 (72B header + 16B matrix shape).
-  std::string B = asLegacyV1(validBytes());
+  // A NaN planted in the payload, with the CRC trailer recomputed over
+  // the planted bytes, exercises the dedicated non-finite check rather
+  // than the checksum. The first payload double sits at offset 88 (72B
+  // header + 16B matrix shape).
+  std::string B = validBytes();
   double NaN = std::numeric_limits<double>::quiet_NaN();
   std::memcpy(&B[88], &NaN, 8);
+  support::Crc32 Crc;
+  Crc.update(B.data() + 8, B.size() - 16);
+  uint64_t Trailer = Crc.value();
+  std::memcpy(&B[B.size() - 8], &Trailer, 8);
   std::string Path = ::testing::TempDir() + "/serialize_nan.dptm";
   writeFileBytes(Path, B);
   TransformerModel M;
   Error Err;
   EXPECT_FALSE(loadModel(Path, M, &Err));
   EXPECT_EQ(Err.code(), ErrorCode::ModelCorrupt);
-  EXPECT_NE(std::string(Err.what()).find("non-finite"), std::string::npos);
-  std::remove(Path.c_str());
-}
-
-TEST(Serialize, LegacyV1TruncationDetected) {
-  std::string B = asLegacyV1(validBytes());
-  std::string Path = ::testing::TempDir() + "/serialize_v1_trunc.dptm";
-  writeFileBytes(Path, B.substr(0, B.size() - 16));
-  TransformerModel M;
-  Error Err;
-  EXPECT_FALSE(loadModel(Path, M, &Err));
-  EXPECT_EQ(Err.code(), ErrorCode::ModelCorrupt);
+  EXPECT_NE(std::string(Err.what()).find("non-finite"), std::string::npos)
+      << Err.what();
   std::remove(Path.c_str());
 }
 
@@ -277,10 +250,10 @@ TEST(Serialize, ValidateConfigBounds) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corrupt-cache fallback
+// Model cache
 //===----------------------------------------------------------------------===//
 
-TEST(Serialize, CorruptCacheRetrainsAndRefreshes) {
+TEST(Serialize, CorruptCacheThrowsTypedAndKeepsTheFile) {
   std::string Dir = ::testing::TempDir() + "/serialize_cache_test";
   std::string Path = Dir + "/m.dptm";
   std::remove(Path.c_str());
@@ -289,19 +262,49 @@ TEST(Serialize, CorruptCacheRetrainsAndRefreshes) {
     ++Calls;
     return tinyModel();
   };
-  TransformerModel A = getOrTrainCached(Dir, "m", TrainFn);
+  getOrTrainCached(Dir, "m", TrainFn); // cold cache: trains once
   EXPECT_EQ(Calls, 1);
-  // Corrupt the cache: the loader must reject it, warn, and fall back to
-  // retraining instead of crashing or loading garbage.
-  writeFileBytes(Path, "definitely not a model");
-  TransformerModel B = getOrTrainCached(Dir, "m", TrainFn);
-  EXPECT_EQ(Calls, 2);
-  // The fallback refreshed the cache, so the next call loads from disk.
-  TransformerModel C = getOrTrainCached(Dir, "m", TrainFn);
-  EXPECT_EQ(Calls, 2);
-  EXPECT_TRUE(tensor::allClose(B.ClsW, C.ClsW, 0.0));
-  EXPECT_TRUE(tensor::allClose(A.ClsW, B.ClsW, 0.0));
+  // A file that is there but does not load is a typed error: the cache
+  // neither retrains nor rewrites it.
+  const std::string Garbage = "definitely not a model";
+  writeFileBytes(Path, Garbage);
+  try {
+    getOrTrainCached(Dir, "m", TrainFn);
+    ADD_FAILURE() << "a corrupt cache file loaded";
+  } catch (const Error &E) {
+    EXPECT_EQ(E.code(), ErrorCode::ModelCorrupt) << E.what();
+  }
+  EXPECT_EQ(Calls, 1);
+  EXPECT_EQ(readFileBytes(Path), Garbage);
   std::remove(Path.c_str());
+}
+
+/// The models the table benches load, by cache name. Each must be in the
+/// tracked cache and load as it is: a missing or unloadable file would
+/// make a bench train, and a file under the wrong name would make it
+/// evaluate the wrong depth.
+TEST(Serialize, EveryBenchModelLoadsFromTheTrackedCache) {
+  std::vector<std::pair<std::string, size_t>> Models = {
+      {"synonym_robust_m3", 3}};
+  for (const char *Family : {"sst", "yelp", "small", "sstdiv", "wide"})
+    for (size_t Layers : {3, 6, 12})
+      Models.emplace_back(std::string(Family) + "_m" +
+                              std::to_string(Layers),
+                          Layers);
+  ASSERT_EQ(Models.size(), 16u);
+  for (const auto &[Name, Layers] : Models) {
+    std::string Path =
+        std::string(DEEPT_SOURCE_DIR) + "/deept-model-cache/" + Name + ".dptm";
+    TransformerModel M;
+    Error Err;
+    if (!loadModel(Path, M, &Err)) {
+      ADD_FAILURE() << Name << ": " << support::errorCodeName(Err.code())
+                    << ": " << Err.what();
+      continue;
+    }
+    EXPECT_EQ(M.Config.NumLayers, Layers) << Name;
+    EXPECT_EQ(M.Layers.size(), Layers) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -101,10 +101,14 @@ stage_artifacts() {
         --target table1_sst_fast_vs_baf deept_cli deept_json_validate
   local Out="$ROOT/build-ci/artifacts"
   mkdir -p "$Out"
-  # The tracked model cache makes this a pure-certification run (no
-  # training in CI).
   ( cd "$Out" && DEEPT_MODEL_CACHE="$ROOT/deept-model-cache" \
       "$ROOT/build-ci/tier1/bench/table1_sst_fast_vs_baf" )
+  # The bench must load the tracked models as they are, never retrain and
+  # rewrite them.
+  git -C "$ROOT" diff --exit-code --stat -- deept-model-cache || {
+    echo "artifacts: the bench rewrote a tracked model" >&2
+    exit 1
+  }
   "$ROOT/build-ci/tier1/tools/deept_json_validate" --require-key bench \
       "$Out"/BENCH_*.json
   # Bench artifacts must record the ISA they ran under, so cross-ISA
